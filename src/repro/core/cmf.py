@@ -28,7 +28,6 @@ is disabled.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,18 +35,6 @@ import numpy as np
 from repro.errors import ConvergenceError, ValidationError
 
 __all__ = ["CMF", "CMFResult", "SourceFactors"]
-
-
-def _foldin_fast_path() -> bool:
-    """Escape hatch for the grouped fold-in path.
-
-    ``REPRO_FOLDIN_CACHE=0`` restores the historical per-row solve loop
-    exactly (read at call time, like the simulator's ``REPRO_SIM_BATCH``
-    gate).  The two paths are proven byte-identical by tests; the switch
-    exists so a production incident can rule the fast path out in
-    seconds without a rollback.
-    """
-    return os.environ.get("REPRO_FOLDIN_CACHE", "1") != "0"
 
 
 @dataclass(frozen=True)
@@ -334,8 +321,9 @@ class CMF:
         calls keyed by mask bytes; callers must scope it to one
         ``(L, hyperparameters)`` pair — :class:`VestaSelector` keys it
         to the ``source_factors`` artifact, so a refit or hot-reload
-        starts from an empty cache by construction.  Setting
-        ``REPRO_FOLDIN_CACHE=0`` restores the historical row loop.
+        starts from an empty cache by construction.  The per-row loop
+        (``_fold_in_row_loop``) is kept as the reference tests pin this
+        path against.
 
         Returns the stacked ``A*`` with shape ``(n_rows, latent_dim)``.
         """
@@ -359,8 +347,6 @@ class CMF:
             raise ValidationError(
                 f"mask shape {mask.shape} != ustar_rows shape {ustar_rows.shape}"
             )
-        if not _foldin_fast_path():
-            return self._fold_in_row_loop(L, ustar_rows, mask)
         return self._fold_in_grouped(L, ustar_rows, mask, operator_cache)
 
     def _fold_in_row_loop(

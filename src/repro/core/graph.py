@@ -8,15 +8,16 @@ layers:
 - the **label-VM layer** G^(LT): a label connects to the VM types that
   serve workloads carrying it well.
 
-The graph is the queryable/reportable representation; the numeric work
-happens on the matrix views (:meth:`workload_label_matrix`,
-:meth:`label_vm_matrix`) which are exactly the U and V of the CMF.
+The graph is a view over the matrices the CMF works on: a workload's
+row of U (or U*) and the label-VM matrix V are the adjacency of the two
+layers, an edge being an entry above :data:`_EDGE_EPS`.  Only the rows
+and V are stored (:meth:`workload_label_matrix`, :meth:`label_vm_matrix`),
+and every query reads them directly.
 Knowledge = G^(XL) + G^(LT); reusing knowledge = G^(X*L) + G^(LT).
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.core.labels import LabelSpace
@@ -24,7 +25,7 @@ from repro.errors import ValidationError
 
 __all__ = ["KnowledgeGraph"]
 
-#: Edge weights below this are not materialised as graph edges.
+#: Matrix entries at or below this are not edges of the graph.
 _EDGE_EPS = 1e-9
 
 
@@ -44,16 +45,9 @@ class KnowledgeGraph:
             raise ValidationError("need at least one VM type")
         self.label_space = label_space
         self.vm_names = tuple(vm_names)
-        self._vm_index = {n: i for i, n in enumerate(self.vm_names)}
-        self._graph = nx.Graph()
         self._source_rows: dict[str, np.ndarray] = {}
         self._target_rows: dict[str, np.ndarray] = {}
         self._v_matrix = np.zeros((len(self.vm_names), label_space.n_labels))
-
-        for lid in range(label_space.n_labels):
-            self._graph.add_node(("label", lid), layer="label")
-        for name in self.vm_names:
-            self._graph.add_node(("vm", name), layer="vm")
 
     # -- construction ------------------------------------------------------------
 
@@ -68,12 +62,6 @@ class KnowledgeGraph:
             )
         rows = self._target_rows if target else self._source_rows
         rows[name] = membership
-        node = ("workload", name)
-        self._graph.add_node(node, layer="workload", target=target)
-        for lid in np.nonzero(membership > _EDGE_EPS)[0]:
-            self._graph.add_edge(
-                node, ("label", int(lid)), weight=float(membership[lid]), target=target
-            )
 
     def add_source_workload(self, name: str, membership: np.ndarray) -> None:
         """Add a blue workload-label row (knowledge from X)."""
@@ -90,11 +78,6 @@ class KnowledgeGraph:
         if V.shape != expected:
             raise ValidationError(f"V must be {expected}, got {V.shape}")
         self._v_matrix = V
-        for vi, name in enumerate(self.vm_names):
-            for lid in np.nonzero(V[vi] > _EDGE_EPS)[0]:
-                self._graph.add_edge(
-                    ("vm", name), ("label", int(lid)), weight=float(V[vi, lid])
-                )
 
     # -- matrix views ----------------------------------------------------------------
 
@@ -115,14 +98,18 @@ class KnowledgeGraph:
 
     # -- queries ----------------------------------------------------------------------
 
+    def _row(self, workload: str) -> np.ndarray:
+        """The label row of ``workload``; a target row shadows a source row."""
+        row = self._target_rows.get(workload)
+        if row is None:
+            row = self._source_rows.get(workload)
+        if row is None:
+            raise ValidationError(f"unknown workload {workload!r}")
+        return row
+
     def labels_of(self, workload: str) -> tuple[int, ...]:
         """Label ids adjacent to ``workload`` (either layer colour)."""
-        node = ("workload", workload)
-        if node not in self._graph:
-            raise ValidationError(f"unknown workload {workload!r}")
-        return tuple(
-            sorted(lid for kind, lid in self._graph.neighbors(node) if kind == "label")
-        )
+        return tuple(int(lid) for lid in np.flatnonzero(self._row(workload) > _EDGE_EPS))
 
     def shared_labels(self, a: str, b: str) -> tuple[int, ...]:
         """Labels both workloads conform to — the Figure 4 similarity cue."""
@@ -134,10 +121,7 @@ class KnowledgeGraph:
         This is the two-hop walk workload → labels → VMs; higher means the
         paper's "the best VM types of them would have similar features".
         """
-        rows = {**self._source_rows, **self._target_rows}
-        if workload not in rows:
-            raise ValidationError(f"unknown workload {workload!r}")
-        return self._v_matrix @ rows[workload]
+        return self._v_matrix @ self._row(workload)
 
     def similar_source_workloads(
         self, membership: np.ndarray, *, top: int = 5
@@ -157,25 +141,14 @@ class KnowledgeGraph:
 
     # -- stats ------------------------------------------------------------------------
 
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (read-only by convention)."""
-        return self._graph
-
     def edge_counts(self) -> dict[str, int]:
         """Edge tallies per layer, for reporting and tests."""
-        wl_source = wl_target = lt = 0
-        for u, v, data in self._graph.edges(data=True):
-            kinds = {u[0], v[0]}
-            if kinds == {"workload", "label"}:
-                if data.get("target"):
-                    wl_target += 1
-                else:
-                    wl_source += 1
-            elif kinds == {"vm", "label"}:
-                lt += 1
+
+        def edges(rows: dict[str, np.ndarray]) -> int:
+            return sum(int(np.count_nonzero(row > _EDGE_EPS)) for row in rows.values())
+
         return {
-            "workload-label(source)": wl_source,
-            "workload-label(target)": wl_target,
-            "label-vm": lt,
+            "workload-label(source)": edges(self._source_rows),
+            "workload-label(target)": edges(self._target_rows),
+            "label-vm": int(np.count_nonzero(self._v_matrix > _EDGE_EPS)),
         }

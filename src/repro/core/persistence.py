@@ -35,7 +35,8 @@ same stage fingerprints).  Version 1 archives (flat array names,
 pre-pipeline) remain loadable.
 
 Loading re-binds the stored workload/VM names against the current
-catalogs and rebuilds the knowledge graph and predictor; a mismatch (e.g.
+catalogs and rebuilds the knowledge graph and predictor through the
+pipeline's ``knowledge`` stage; a mismatch (e.g.
 a VM type missing from the catalog) fails loudly rather than silently
 degrading.
 """
@@ -55,10 +56,8 @@ from repro.core.artifacts import (
     read_memmap_bundle,
     write_memmap_bundle,
 )
-from repro.core.graph import KnowledgeGraph
 from repro.core.labels import LabelSpace
 from repro.core.pipeline import CACHED_STAGES, STAGES, PromotedSource
-from repro.core.predictor import SimilarityPredictor
 from repro.core.vesta import VestaSelector
 from repro.errors import ValidationError
 from repro.telemetry.campaign import ProfileCache
@@ -262,25 +261,11 @@ def _restore_v1(
     kmeans.labels_ = selector.vm_clusters
     selector.kmeans = kmeans
 
-    selector.graph = KnowledgeGraph(
-        selector.label_space, tuple(vm.name for vm in selector.vms)
-    )
-    for spec, row in zip(selector.sources, selector.U):
-        selector.graph.add_source_workload(spec.name, row)
-    selector.graph.set_label_vm_matrix(selector.V)
-
-    selector.predictor = SimilarityPredictor(
-        selector.perf,
-        selector.U,
-        top_m=selector.top_m,
-        temperature=selector.temperature,
-    )
-
+    pipeline = selector.pipeline
     # Pre-pipeline archives predate the offline/online CMF split; the
     # source factors are a deterministic function of the restored U/V.
-    selector.pipeline._apply_source_factors(
-        selector.pipeline._compute_source_factors()
-    )
+    pipeline._apply_source_factors(pipeline._compute_source_factors())
+    pipeline._apply_knowledge({})
 
 
 def _restore_v2(

@@ -85,9 +85,10 @@ def _probe_plan(
 ) -> tuple[VMType, tuple[VMType, ...]]:
     """Deterministic sandbox + probe VM choice for one target workload.
 
-    Shared by :class:`OnlineSession` and the batched
-    :meth:`VestaSelector.online_many` prefetch, so a batch profiles
-    exactly the cells a sequence of individual sessions would.
+    :meth:`VestaSelector.online_many` computes it once per target for
+    its prefetch and hands it to the session; a lone session computes
+    it itself.  Either way a batch profiles exactly the cells a sequence
+    of individual sessions would.
     """
     sandbox = choose_sandbox_vm(spec, selector.vms)
     # zlib.crc32, not hash(): Python string hashing is randomized per
@@ -153,11 +154,13 @@ class OnlineSession:
         selector: "VestaSelector",
         spec: WorkloadSpec,
         *,
-        _defer_completion: bool = False,
+        _wave_plan: tuple[VMType, tuple[VMType, ...]] | None = None,
     ) -> None:
         self._sel = selector
         self.spec = spec
-        self.sandbox_vm, self.probe_vms = _probe_plan(selector, spec)
+        # A wave member (see VestaSelector.online_many) receives the plan
+        # the wave's prefetch used, and the wave completes its row.
+        self.sandbox_vm, self.probe_vms = _wave_plan or _probe_plan(selector, spec)
         self.observations: dict[str, float] = {}
         self.converged = True
         self.degraded = False
@@ -169,7 +172,7 @@ class OnlineSession:
         self._predicted_runtimes: np.ndarray | None = None
         self._predicted_budgets: np.ndarray | None = None
         self._collect_observations()
-        if not _defer_completion:
+        if _wave_plan is None:
             result = selector.complete_rows(
                 self._sparse_row[None, :], self._mask[None, :]
             )[0]
@@ -815,10 +818,7 @@ class VestaSelector:
         """Open an online predicting session for a target workload."""
         if not self._fitted:
             raise ValidationError("VestaSelector is not fitted; call fit() first")
-        session = OnlineSession(self, spec)
-        if session.converged:
-            self.graph.add_target_workload(spec.name, session.completed_row)
-        return session
+        return OnlineSession(self, spec)
 
     def select(self, spec: WorkloadSpec, objective: str = "time") -> Recommendation:
         """One-shot best-VM selection (sandbox + probes + CMF + predict)."""
@@ -837,14 +837,15 @@ class VestaSelector:
         if not self._fitted:
             raise ValidationError("VestaSelector is not fitted; call fit() first")
         specs = tuple(specs)
+        plans = [_probe_plan(self, spec) for spec in specs]
         cells: list[tuple[WorkloadSpec, VMType, bool]] = []
-        for spec in specs:
-            sandbox, probes = _probe_plan(self, spec)
+        for spec, (sandbox, probes) in zip(specs, plans):
             cells.append((spec, sandbox, False))
             cells.extend((spec, vm, True) for vm in probes)
         self.campaign.prefetch(cells)
         sessions = tuple(
-            OnlineSession(self, spec, _defer_completion=True) for spec in specs
+            OnlineSession(self, spec, _wave_plan=plan)
+            for spec, plan in zip(specs, plans)
         )
         if sessions:
             rows = np.vstack([s._sparse_row for s in sessions])
@@ -852,10 +853,6 @@ class VestaSelector:
             results = self.complete_rows(rows, masks)
             for session, result in zip(sessions, results):
                 session._complete_row(result)
-                if session.converged:
-                    self.graph.add_target_workload(
-                        session.spec.name, session.completed_row
-                    )
         return sessions
 
     def select_many(

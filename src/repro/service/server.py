@@ -13,11 +13,14 @@ Endpoints
     Body ``{"workload": ..., "objective": "time"|"budget",``
     ``"selector": ..., "timeout_s": ...}`` (only ``workload``
     required).  200 with the :mod:`~repro.service.wire` response
-    payload; 400 bad input, 404 unknown selector/workload, 429
+    payload; 400 bad input, 404 unknown selector/workload, 413 body
+    over :data:`MAX_BODY_BYTES`, 429
     overloaded (queue full after load-shedding — the response carries a
     ``Retry-After`` header and queue context in the body, derived from
     the scheduler's observed batch service time), 504 deadline
-    exceeded.
+    exceeded.  A ``Content-Length`` that is not a decimal integer (400)
+    or is over the limit (413) is answered without reading the body,
+    and the connection is closed.
 ``GET /healthz``
     200 ``{"status": "ok", "selectors": {...}}`` once at least one
     selector is registered, 503 before.
@@ -232,6 +235,10 @@ class SelectionService:
         self.close()
 
 
+#: Largest request body ``POST`` accepts, in bytes.  A ``/select`` body
+#: is a few hundred bytes; anything larger is answered 413 unread.
+MAX_BODY_BYTES = 64 * 1024
+
 #: HTTP status per error type; anything else is a 500.
 _STATUS = (
     (ServiceOverloadedError, 429),
@@ -295,9 +302,26 @@ class _Handler(BaseHTTPRequestHandler):
             self._fail(404, ServiceError(f"unknown path {self.path!r}"))
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        declared = self.headers.get("Content-Length", "0").strip()
+        # RFC 9110: 1*DIGIT.  int() alone would also take "-1" (a read
+        # that blocks until the client hangs up), "+1" and "1_0".
+        length = int(declared) if declared.isascii() and declared.isdigit() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry
+            # another request: close it after the reply.
+            if length < 0:
+                status, message = 400, f"invalid Content-Length {declared!r}"
+            else:
+                status, message = 413, (
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit"
+                )
+            self._reply(
+                status, error_to_dict(ValidationError(message)), {"Connection": "close"}
+            )
+            return
         # Always drain the body: replying without reading it desyncs the
         # keep-alive stream (the leftover bytes parse as the next request).
-        length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length) if length else b""
         if self.path != "/select":
             self._fail(404, ServiceError(f"unknown path {self.path!r}"))

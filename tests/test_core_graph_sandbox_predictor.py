@@ -1,15 +1,22 @@
 """Tests for the knowledge graph, sandbox/probe choice, and the predictor."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core.graph import KnowledgeGraph
+import repro
+from repro.core.graph import _EDGE_EPS, KnowledgeGraph
 from repro.core.labels import LabelSpace
 from repro.core.predictor import SimilarityPredictor, _affine_log_fit
 from repro.core.sandbox import choose_probe_vms, choose_sandbox_vm
+from repro.core.vesta import VestaSelector
 from repro.cloud.vmtypes import catalog, get_vm_type
 from repro.errors import ValidationError
-from repro.workloads.catalog import get_workload
+from repro.workloads.catalog import all_workloads, get_workload
 
 
 @pytest.fixture()
@@ -69,6 +76,62 @@ class TestKnowledgeGraph:
     def test_bad_matrix_shape_rejected(self, graph):
         with pytest.raises(ValidationError):
             graph.set_label_vm_matrix(np.zeros((2, 2)))
+
+
+def _label_ids(edges: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(edges).tolist())
+
+
+class TestGraphIsAViewOverUV:
+    """The fitted graph answers from U and V alone, and serving never
+    writes to it."""
+
+    def test_queries_equal_u_and_v(self, fitted_vesta):
+        graph = fitted_vesta.graph
+        U, V = fitted_vesta.U, fitted_vesta.V
+        names = graph.workload_names()
+        assert len(names) == U.shape[0]
+        edges = U > _EDGE_EPS
+        for i, a in enumerate(names):
+            assert graph.labels_of(a) == _label_ids(edges[i])
+            for j, b in enumerate(names):
+                assert graph.shared_labels(a, b) == _label_ids(edges[i] & edges[j])
+        assert graph.edge_counts() == {
+            "workload-label(source)": int(np.count_nonzero(edges)),
+            "workload-label(target)": 0,
+            "label-vm": int(np.count_nonzero(V > _EDGE_EPS)),
+        }
+
+    def test_serving_leaves_the_graph_untouched(self):
+        selector = VestaSelector(seed=7, cmf_mode="foldin").fit()
+        graph = selector.graph
+        counts = graph.edge_counts()
+        specs = all_workloads()
+        assert len(specs) == 30
+        for spec in specs:
+            selector.online(spec)
+            selector.select(spec, "budget")
+        selector.online_many(specs)
+        selector.select_many(specs)
+        assert selector.graph is graph
+        assert graph.workload_names(target=True) == ()
+        assert graph.edge_counts() == counts
+
+    def test_serving_imports_do_not_load_networkx(self):
+        code = (
+            "import sys, repro.cli, repro.core, repro.core.persistence, repro.service; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestSandbox:

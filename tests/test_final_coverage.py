@@ -1,4 +1,4 @@
-"""Final coverage batch: CLI error paths, graph export, selector edges."""
+"""Final coverage batch: CLI error paths, graph views, selector edges."""
 
 import numpy as np
 import pytest
@@ -39,17 +39,17 @@ class TestCliParsing:
 
 
 class TestGraphExport:
-    def test_networkx_view_is_consistent(self):
+    def test_matrix_view_is_consistent(self):
         space = LabelSpace(("a",), softness=0)
         g = KnowledgeGraph(space, ("vm1",))
         g.add_source_workload("w", space.membership(np.array([0.5]), hard=True))
-        nx_graph = g.graph
-        workload_nodes = [n for n in nx_graph if n[0] == "workload"]
-        label_nodes = [n for n in nx_graph if n[0] == "label"]
-        vm_nodes = [n for n in nx_graph if n[0] == "vm"]
-        assert len(workload_nodes) == 1
-        assert len(label_nodes) == space.n_labels
-        assert len(vm_nodes) == 1
+        # One node per workload row, label column and VM row of the view.
+        n_workloads, n_labels = g.workload_label_matrix().shape
+        n_vms, v_labels = g.label_vm_matrix().shape
+        assert n_workloads == len(g.workload_names()) == 1
+        assert n_labels == v_labels == space.n_labels
+        assert n_vms == len(g.vm_names) == 1
+        assert len(g.labels_of("w")) == 1
 
     def test_empty_source_matrix_shape(self):
         space = LabelSpace(("a",))

@@ -9,6 +9,8 @@ library selection, typed error mapping, health/stats).
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,7 +35,7 @@ from repro.service import (
     ServiceClient,
     recommendation_to_dict,
 )
-from repro.service.server import serve
+from repro.service.server import MAX_BODY_BYTES, serve
 from repro.telemetry.latency import DurationSummary
 from repro.workloads.catalog import get_workload, target_set, training_set
 
@@ -374,6 +376,43 @@ class TestHTTPFrontend:
         _, client = running
         with pytest.raises(ValidationError):
             client.select(TARGETS[0], selector="other-model")
+
+    @staticmethod
+    def _post_declaring(client, content_length: str) -> tuple[int, bytes, dict]:
+        """POST /select with a bare ``Content-Length`` and no body, then
+        read until the server closes the connection (a hang times out)."""
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /select HTTP/1.1\r\nHost: test\r\n"
+                + f"Content-Length: {content_length}\r\n\r\n".encode()
+            )
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        return int(head.split()[1]), head, json.loads(body)
+
+    def test_non_integer_content_length_is_400_and_closes(self, running):
+        _, client = running
+        status, head, body = self._post_declaring(client, "twelve")
+        assert status == 400
+        assert b"Connection: close" in head
+        assert body["error"] == "ValidationError"
+        assert client.select(TARGETS[0])["recommendation"]
+
+    def test_negative_content_length_is_400_and_closes(self, running):
+        _, client = running
+        status, head, body = self._post_declaring(client, "-1")
+        assert status == 400
+        assert b"Connection: close" in head
+        assert "Content-Length" in body["message"]
+
+    def test_body_over_the_limit_is_413_and_closes(self, running):
+        _, client = running
+        status, head, body = self._post_declaring(client, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert b"Connection: close" in head
+        assert str(MAX_BODY_BYTES) in body["message"]
 
 
 class TestDurationSummary:

@@ -1,10 +1,9 @@
 """Tests for the serving fast path (grouped fold-in + memo caches).
 
-Three layers, each pinned bit-identical to the code path it replaces and
-individually escape-hatchable:
+Three layers, each pinned bit-identical to the code path it replaces:
 
-- grouped, mask-keyed ``fold_in`` with a per-selector operator cache
-  (``REPRO_FOLDIN_CACHE=0`` restores the per-row solve loop);
+- grouped, mask-keyed ``fold_in`` with a per-selector operator cache,
+  pinned against the per-row solve loop ``CMF._fold_in_row_loop``;
 - the scheduler's recommendation memo cache keyed by
   ``(knowledge fingerprint, catalog fingerprint, workload, objective)``
   (``REPRO_REC_CACHE=0`` / ``rec_cache_size=0`` disables);
@@ -107,24 +106,6 @@ class TestGroupedFoldIn:
         # Second pass resolves every distinct mask from the cache.
         assert stats["size"] == len({m.tobytes() for m in mask})
         assert stats["hits"] >= stats["size"]
-
-    def test_env_gate_restores_row_loop(self, monkeypatch):
-        """``REPRO_FOLDIN_CACHE=0`` must dispatch to the row loop only."""
-        rng = np.random.default_rng(3)
-        cmf = CMF(latent_dim=3)
-        L = rng.normal(size=(6, 3))
-        rows = rng.normal(size=(4, 6))
-        mask = (rng.random((4, 6)) > 0.3).astype(float)
-        expected = cmf.fold_in(L, rows, mask)
-
-        monkeypatch.setenv("REPRO_FOLDIN_CACHE", "0")
-        monkeypatch.setattr(
-            CMF,
-            "_fold_in_grouped",
-            lambda *a, **k: pytest.fail("fast path taken with gate off"),
-        )
-        off = cmf.fold_in(L, rows, mask)
-        assert off.tobytes() == expected.tobytes()
 
     def test_singular_gram_falls_back_to_lstsq(self):
         """Empty mask + reg=0: the gram is all zeros, ``solve`` raises,
