@@ -1,7 +1,5 @@
 #!/usr/bin/env bash
-# Smoke target: the tier-1 suite, then the campaign determinism/cache
-# layer explicitly re-exercised with a 2-worker process pool (slow
-# full-fit invariance tests included).
+# Smoke target: the tier-1 suite, then the perf benches and examples.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,11 +7,6 @@ export PYTHONPATH=src
 
 echo "== tier-1 suite =="
 python -m pytest -x -q
-
-echo "== campaign determinism + cache (jobs=2) =="
-REPRO_PROFILE_JOBS=2 python -m pytest -q \
-    tests/test_campaign_determinism.py \
-    tests/test_profile_cache.py
 
 echo "== simulator core (batch of 64 cells vs scalar loop) =="
 python -m pytest -q benchmarks/bench_perf_simulator.py

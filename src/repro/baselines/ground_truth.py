@@ -44,7 +44,6 @@ class GroundTruth:
         *,
         repetitions: int = 10,
         seed: int = 0,
-        jobs: int | None = None,
         cache: ProfileCache | str | None = None,
         faults: FaultPlan | None = None,
         store: ArtifactStore | str | None = None,
@@ -58,7 +57,6 @@ class GroundTruth:
         self.campaign = ProfilingCampaign(
             repetitions=repetitions,
             seed=seed,
-            jobs=jobs,
             cache=cache,
             faults=faults,
             catalog=self.catalog,

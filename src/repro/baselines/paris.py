@@ -77,9 +77,8 @@ class Paris:
         Data Collector repetitions for fingerprinting/training runs.
     seed:
         Master seed.
-    jobs, cache, faults:
-        Profiling-campaign parallelism, persistent profile cache, and
-        optional fault-injection plan (see
+    cache, faults:
+        Persistent profile cache and optional fault-injection plan (see
         :class:`~repro.telemetry.campaign.ProfilingCampaign`).
     store:
         Optional :class:`~repro.core.artifacts.ArtifactStore` (or path)
@@ -96,7 +95,6 @@ class Paris:
         n_estimators: int = 40,
         repetitions: int = 10,
         seed: int = 0,
-        jobs: int | None = None,
         cache: ProfileCache | str | None = None,
         faults: FaultPlan | None = None,
         store: ArtifactStore | str | None = None,
@@ -124,7 +122,6 @@ class Paris:
         self.campaign = ProfilingCampaign(
             repetitions=repetitions,
             seed=seed,
-            jobs=jobs,
             cache=cache,
             faults=faults,
             catalog=self.catalog,

@@ -98,10 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="VM type names (default: the full Table-4 catalog)",
     )
     p_prof.add_argument(
-        "--jobs", type=int, default=None,
-        help="campaign worker processes (default: CPU count)",
-    )
-    p_prof.add_argument(
         "--cache", default=None,
         help="persistent profile-cache sqlite path (default: none)",
     )
@@ -143,10 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--seed", type=int, default=7)
     p_sel.add_argument(
         "--top", type=int, default=5, help="also show the top-N predictions"
-    )
-    p_sel.add_argument(
-        "--jobs", type=int, default=None,
-        help="offline-campaign worker processes (default: CPU count)",
     )
     p_sel.add_argument(
         "--cache", default=None,
@@ -244,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rec-cache", type=int, default=512, metavar="N",
         help="recommendation memo-cache entries per scheduler shard, keyed "
              "by (knowledge fingerprint, catalog fingerprint, workload, "
-             "objective); 0 disables, as does REPRO_REC_CACHE=0 "
-             "(default: 512)",
+             "objective); 0 disables (default: 512)",
     )
     p_srv.add_argument(
         "--pool", action="store_true",
@@ -258,10 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
              "default: the archive's / selector's own mode",
     )
     p_srv.add_argument("--seed", type=int, default=7, help="fresh-fit seed")
-    p_srv.add_argument(
-        "--jobs", type=int, default=None,
-        help="offline-campaign worker processes (default: CPU count)",
-    )
     p_srv.add_argument(
         "--cache", default=None,
         help="persistent profile-cache sqlite path (default: none)",
@@ -282,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--learn", action="store_true",
         help="journal served sessions and promote measured-transfer "
              "candidates into the served knowledge in the background "
-             "(inline serving only; REPRO_LEARN=0 force-disables)",
+             "(inline serving only)",
     )
     p_srv.add_argument(
         "--learn-store", default=None, metavar="PATH",
@@ -332,10 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="completion mode for a fresh fit or archive override",
     )
     p_learn.add_argument("--seed", type=int, default=7, help="fresh-fit seed")
-    p_learn.add_argument(
-        "--jobs", type=int, default=None,
-        help="offline-campaign worker processes (default: CPU count)",
-    )
     p_learn.add_argument(
         "--cache", default=None,
         help="persistent profile-cache sqlite path (default: none)",
@@ -461,12 +444,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     vms = tuple(cat.get(n) for n in args.vms) if args.vms else cat.vms
     faults = _fault_plan(args)
     campaign = ProfilingCampaign(
-        repetitions=args.reps, seed=args.seed, jobs=args.jobs, cache=args.cache,
+        repetitions=args.reps, seed=args.seed, cache=args.cache,
         faults=faults, catalog=cat,
     )
     print(
         f"campaign: {len(specs)} workloads x {len(vms)} VM types "
-        f"(catalog: {cat.name}, {campaign.jobs} jobs, "
+        f"(catalog: {cat.name}, "
         f"cache: {args.cache or 'in-process'}"
         f"{', faults on' if campaign.faults is not None else ''})"
     )
@@ -495,7 +478,7 @@ def _build_selector(args: argparse.Namespace, *, announce: bool = True):
 
     if getattr(args, "archive", None):
         vesta = load_selector(
-            args.archive, jobs=args.jobs, cache=args.cache,
+            args.archive, cache=args.cache,
             faults=_fault_plan(args), store=args.store,
         )
         if args.cmf_mode is not None and args.cmf_mode != vesta.cmf_mode:
@@ -507,7 +490,7 @@ def _build_selector(args: argparse.Namespace, *, announce: bool = True):
     if announce:
         print("fitting offline knowledge (source workloads x full catalog)...")
     return VestaSelector(
-        seed=args.seed, jobs=args.jobs, cache=args.cache,
+        seed=args.seed, cache=args.cache,
         faults=_fault_plan(args), store=args.store,
         cmf_mode=args.cmf_mode or "full",
         catalog=getattr(args, "catalog", None),
@@ -688,8 +671,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"   learning on: journal -> gate -> promote every "
               f"{learning['interval_s']:g} s "
               f"(store: {args.learn_store or 'in-memory'})")
-    elif args.learn:
-        print("   learning requested but disabled by REPRO_LEARN=0")
     print('   POST /select   {"workload": "spark-lr"}')
     print("   GET  /healthz  GET /statsz        (Ctrl-C to stop)")
     import time

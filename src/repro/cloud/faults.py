@@ -24,7 +24,7 @@ surface.  :class:`FaultPlan` supplies it deterministically:
 RNG state — so outcomes are independent of execution order, worker
 count, and whether other cells faulted.  The same plan + seed reproduces
 the same retries, straggle factors, and dropped samples for any
-``jobs`` count.  ``FaultPlan.none()`` (the default everywhere) injects
+worker count.  ``FaultPlan.none()`` (the default everywhere) injects
 nothing and leaves every profiling result bit-identical to a fault-free
 build.
 """
@@ -297,7 +297,7 @@ class FaultPlan:
 
         A retry lands on a fresh placement, so its runtime multiplier must
         not replay the failed attempt's draw; deriving the seed from the
-        full coordinate keeps retries bit-reproducible for any jobs count.
+        full coordinate keeps retries bit-reproducible for any worker count.
         """
         token = f"retry|{workload}|{vm_name}|{repetition}|{attempt}|{self.seed}"
         return zlib.crc32(token.encode())

@@ -306,18 +306,17 @@ def _restore_v2(
 def load_selector(
     path: str | Path,
     *,
-    jobs: int | None = None,
     cache: ProfileCache | str | None = None,
     faults: FaultPlan | None = None,
     store: ArtifactStore | str | None = None,
 ) -> VestaSelector:
     """Rebuild a fitted :class:`VestaSelector` from a saved archive.
 
-    ``jobs``, ``cache``, ``faults`` and ``store`` configure the rebuilt
-    selector's profiling campaign and artifact store (the knowledge
-    itself is restored from the archive): a production deployment loads
-    the fitted knowledge once and serves online sessions under its own
-    parallelism/cache/fault-plan settings.  With a version-2 archive the
+    ``cache``, ``faults`` and ``store`` configure the rebuilt selector's
+    profiling campaign and artifact store (the knowledge itself is
+    restored from the archive): a production deployment loads the fitted
+    knowledge once and serves online sessions under its own
+    cache/fault-plan settings.  With a version-2 archive the
     restored stage artifacts are adopted into the selector's pipeline
     (and ``store``, when given), so a subsequent
     :meth:`~repro.core.vesta.VestaSelector.refit` reuses them.
@@ -344,14 +343,13 @@ def load_selector(
             raise
         raise ValidationError(f"cannot read archive {path}: {exc}") from exc
     return _restore_selector(
-        meta, arrays, jobs=jobs, cache=cache, faults=faults, store=store
+        meta, arrays, cache=cache, faults=faults, store=store
     )
 
 
 def load_selector_memmap(
     directory: str | Path,
     *,
-    jobs: int | None = None,
     cache: ProfileCache | str | None = None,
     faults: FaultPlan | None = None,
     store: ArtifactStore | str | None = None,
@@ -385,7 +383,7 @@ def load_selector_memmap(
             f"memmap bundles are written at version {FORMAT_VERSION}"
         )
     return _restore_selector(
-        meta, arrays, jobs=jobs, cache=cache, faults=faults, store=store
+        meta, arrays, cache=cache, faults=faults, store=store
     )
 
 
@@ -393,7 +391,6 @@ def _restore_selector(
     meta: dict,
     arrays: dict[str, np.ndarray],
     *,
-    jobs: int | None,
     cache: ProfileCache | str | None,
     faults: FaultPlan | None,
     store: ArtifactStore | str | None,
@@ -431,7 +428,6 @@ def _restore_selector(
         vms=vms,
         sources=sources,
         repetitions=meta["repetitions"],
-        jobs=jobs,
         cache=cache,
         faults=faults,
         store=store,
@@ -485,7 +481,6 @@ def _restore_selector(
 def clone_knowledge(
     selector: VestaSelector,
     *,
-    jobs: int | None = None,
     cache: ProfileCache | str | None = None,
     faults: FaultPlan | None = None,
     store: ArtifactStore | str | None = None,
@@ -505,5 +500,5 @@ def clone_knowledge(
         for name, array in _flat_stage_arrays(selector).items()
     }
     return _restore_selector(
-        meta, arrays, jobs=jobs, cache=cache, faults=faults, store=store
+        meta, arrays, cache=cache, faults=faults, store=store
     )

@@ -363,8 +363,8 @@ class KnowledgePipeline:
 
     def _compute_corr_signatures(self) -> dict[str, np.ndarray]:
         sel = self.sel
-        # Prefetch the whole (source × probe-VM) grid in parallel so the
-        # per-source signature loop below is all memo hits.
+        # Prefetch the whole (source × probe-VM) grid as one campaign wave
+        # so the per-source signature loop below is all memo hits.
         corr_vms = sel._corr_probe_vms()
         sel.campaign.collect_grid(sel.sources, corr_vms)
         matrix = np.empty((len(sel.sources), len(sel.signature_names())))

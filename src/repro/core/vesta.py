@@ -437,9 +437,6 @@ class VestaSelector:
         serving path.
     seed:
         Master seed for every stochastic component.
-    jobs:
-        Worker processes for the offline profiling campaign (default:
-        CPU count).  Results are bit-identical for any value.
     cache:
         Persistent profile cache — a sqlite path or a ready
         :class:`~repro.telemetry.campaign.ProfileCache`; ``None`` keeps
@@ -485,7 +482,6 @@ class VestaSelector:
         label_softness: int = 2,
         cmf_mode: str = "full",
         seed: int = 0,
-        jobs: int | None = None,
         cache: ProfileCache | str | None = None,
         faults: FaultPlan | None = None,
         store: ArtifactStore | str | None = None,
@@ -523,7 +519,6 @@ class VestaSelector:
         self.campaign = ProfilingCampaign(
             repetitions=repetitions,
             seed=seed,
-            jobs=jobs,
             cache=cache,
             faults=faults,
             catalog=self.catalog,
@@ -827,12 +822,12 @@ class VestaSelector:
     def online_many(self, specs) -> tuple[OnlineSession, ...]:
         """Open online sessions for a batch of targets in one wave.
 
-        All sandbox and probe profiling runs of the whole batch are fanned
-        through the campaign's process pool in a single prefetch (one
-        serial session profiles 1 + ``probes`` cells at a time), then
-        every target row is completed in one :meth:`complete_rows` call —
-        a single batched solve under ``cmf_mode="foldin"``.  Results are
-        bit-identical to opening the sessions one by one, at any ``jobs``.
+        All sandbox and probe profiling runs of the whole batch go
+        through the campaign in a single prefetch wave (one serial session
+        profiles 1 + ``probes`` cells at a time), then every target row is
+        completed in one :meth:`complete_rows` call — a single batched
+        solve under ``cmf_mode="foldin"``.  Results are bit-identical to
+        opening the sessions one by one.
         """
         if not self._fitted:
             raise ValidationError("VestaSelector is not fitted; call fit() first")

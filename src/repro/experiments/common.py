@@ -54,10 +54,8 @@ def campaign_options() -> dict:
     """Profiling-campaign options shared by every experiment fixture.
 
     Read from the environment so figure runners and the test suite can
-    opt into parallelism / persistence without touching call sites:
+    opt into persistence without touching call sites:
 
-    - ``REPRO_PROFILE_JOBS`` — campaign worker count (default: CPU count;
-      results are bit-identical for any value);
     - ``REPRO_PROFILE_CACHE`` — persistent profile-cache sqlite path
       (default: in-process memoization only);
     - ``REPRO_FAULT_*`` — fault-injection plan (see
@@ -69,11 +67,8 @@ def campaign_options() -> dict:
     the environment mid-process builds fresh fixtures under the new
     options instead of silently serving ones fitted under the old.
     """
-    jobs = os.environ.get("REPRO_PROFILE_JOBS")
-    cache = os.environ.get("REPRO_PROFILE_CACHE")
     return {
-        "jobs": int(jobs) if jobs else None,
-        "cache": cache or None,
+        "cache": os.environ.get("REPRO_PROFILE_CACHE") or None,
         "faults": FaultPlan.from_env(),
     }
 
@@ -87,7 +82,6 @@ def _options_key() -> tuple:
     """
     opts = campaign_options()
     return (
-        opts["jobs"],
         opts["cache"],
         opts["faults"],
         os.environ.get("REPRO_ARTIFACT_STORE") or None,
@@ -99,12 +93,12 @@ def _options_key() -> tuple:
 
 
 def _options_from_key(key: tuple) -> dict:
-    return {"jobs": key[0], "cache": key[1], "faults": key[2]}
+    return {"cache": key[0], "faults": key[1]}
 
 
 @lru_cache(maxsize=4)
 def _store_for(key: tuple) -> ArtifactStore:
-    return ArtifactStore(key[3] or ":memory:")
+    return ArtifactStore(key[2] or ":memory:")
 
 
 def shared_store() -> ArtifactStore:

@@ -162,9 +162,9 @@ def run(seed: int = DEFAULT_SEED) -> CrossCloudResult:
             )
         )
 
-        paris = Paris(
-            seed=seed, catalog=cat_name, jobs=opts["jobs"], cache=opts["cache"]
-        ).fit(training_set())
+        paris = Paris(seed=seed, catalog=cat_name, cache=opts["cache"]).fit(
+            training_set()
+        )
         paris_regret = tuple(
             gt.selection_error(spec, paris.select(spec)) * 100.0 for spec in specs
         )

@@ -31,6 +31,7 @@ import multiprocessing
 import shutil
 import tempfile
 import threading
+import traceback
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -158,8 +159,8 @@ def _pool_worker(conn) -> None:
 
     Replicas are cached by knowledge fingerprint (only the latest is
     kept — a reload should free the superseded version's session state).
-    ``jobs=1`` keeps profiling inline: the worker *is* the parallelism,
-    nesting a campaign pool inside it would only add IPC.
+    Any exception a wave raises becomes that wave's answer, so one bad
+    wave never takes the worker down.
     """
     replicas: dict[str, object] = {}
     while True:
@@ -171,11 +172,17 @@ def _pool_worker(conn) -> None:
             selector = replicas.get(fingerprint)
             if selector is None:
                 replicas.clear()
-                selector = load_selector_memmap(bundle_dir, jobs=1)
+                selector = load_selector_memmap(bundle_dir)
                 replicas[fingerprint] = selector
             outcomes = _recommend_all(selector, requests)
         except ReproError as exc:
             outcomes = [exc] * len(requests)
+        except Exception as exc:  # worker boundary: report, keep serving
+            traceback.print_exc()
+            error = ServiceError(
+                f"pool worker failed the wave: {type(exc).__name__}: {exc}"
+            )
+            outcomes = [error] * len(requests)
         conn.send(outcomes)
 
 
@@ -193,6 +200,11 @@ class ProcessPoolBackend:
     the worker, which is exactly the hot-reload path: no wave ever mixes
     knowledge versions because the (bundle, fingerprint) pair is fixed
     before the wave ships.
+
+    A worker that misses the wave deadline is terminated and replaced,
+    so its late reply can never be read as a later wave's answers; a
+    worker found dead is replaced before the next wave ships.
+    :meth:`describe` counts the replacements as ``restarts``.
     """
 
     name = "pool"
@@ -206,25 +218,42 @@ class ProcessPoolBackend:
     ) -> None:
         self._bundles = bundles
         self._timeout_s = request_timeout_s
-        ctx = multiprocessing.get_context(context)
-        self._conn, child = ctx.Pipe()
-        self._proc = ctx.Process(
+        self._ctx = multiprocessing.get_context(context)
+        self._waves = 0
+        self._restarts = 0
+        self._start()
+
+    def _start(self) -> None:
+        self._conn, child = self._ctx.Pipe()
+        self._proc = self._ctx.Process(
             target=_pool_worker, args=(child,), daemon=True
         )
         self._proc.start()
         child.close()
-        self._waves = 0
+
+    def _restart(self) -> None:
+        """Replace the worker; an unread reply dies with the old pipe."""
+        self._proc.kill()
+        self._proc.join()
+        self._conn.close()
+        self._restarts += 1
+        self._start()
 
     def run(self, handle: "SelectorHandle", requests) -> list:
         bundle = self._bundles.path_for(handle)
+        if not self._proc.is_alive():
+            self._restart()
         try:
             self._conn.send((str(bundle), handle.fingerprint, list(requests)))
             if not self._conn.poll(self._timeout_s):
+                self._restart()
                 raise ServiceError(
-                    f"pool worker timed out after {self._timeout_s:.0f}s"
+                    f"pool worker timed out after {self._timeout_s:.0f}s "
+                    f"and was restarted"
                 )
             outcomes = self._conn.recv()
-        except (OSError, EOFError, BrokenPipeError) as exc:
+        except (OSError, EOFError) as exc:
+            self._restart()
             raise ServiceError(f"pool worker died: {exc}") from exc
         self._waves += 1
         return outcomes
@@ -241,9 +270,11 @@ class ProcessPoolBackend:
         self._conn.close()
 
     def describe(self) -> dict:
+        proc = self._proc
         return {
             "name": self.name,
-            "pid": self._proc.pid,
-            "alive": self._proc.is_alive(),
+            "pid": proc.pid,
+            "alive": proc.is_alive(),
             "waves": self._waves,
+            "restarts": self._restarts,
         }

@@ -22,34 +22,20 @@ The serving half of the knowledge lifecycle
   knowledge fingerprint, so the reload propagates fleet-wide on the next
   wave without pausing serving and without ever mixing knowledge
   versions within a response.
-
-``REPRO_LEARN=0`` is the global kill switch: with it set the service
-never journals and never promotes, regardless of ``--learn``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 
 from repro.core.lifecycle import KnowledgeLifecycle, record_from_session
 from repro.core.persistence import clone_knowledge
 from repro.telemetry.store import MetricsStore
 
-__all__ = ["LearningLoop", "SessionJournal", "learning_enabled"]
+__all__ = ["LearningLoop", "SessionJournal"]
 
 #: Default bound on journalled sessions (oldest evicted first).
 DEFAULT_JOURNAL_LIMIT = 2048
-
-
-def learning_enabled() -> bool:
-    """Escape hatch: ``REPRO_LEARN=0`` disables the serve→learn loop.
-
-    Read at service construction; with it off the serving path carries
-    no journal hook at all and stays byte-identical to a learning-free
-    build.
-    """
-    return os.environ.get("REPRO_LEARN", "1") != "0"
 
 
 class SessionJournal:

@@ -103,8 +103,8 @@ class SelectorRegistry:
         """Load a persistence archive and register it under ``name``.
 
         ``load_kwargs`` are forwarded to
-        :func:`~repro.core.persistence.load_selector` (``jobs``,
-        ``cache``, ``faults``, ``store``).
+        :func:`~repro.core.persistence.load_selector` (``cache``,
+        ``faults``, ``store``).
         """
         return self.register(name, load_selector(path, **load_kwargs))
 

@@ -42,8 +42,8 @@ recommendation memo cache keyed by ``(knowledge fingerprint, catalog
 fingerprint, workload, objective)``.  A hit is answered at submit time —
 no queueing, no wave — with the byte-identical recommendation the
 original wave computed, stamped ``cached=True``.  Reload invalidation is
-by construction (the fingerprints are in the key); ``REPRO_REC_CACHE=0``
-or ``rec_cache_size=0`` turns the layer off entirely.
+by construction (the fingerprints are in the key); ``rec_cache_size=0``
+turns the layer off entirely.
 
 Fault tolerance reuses the online degradation machinery: selectors
 running under a fault plan return ``degraded`` recommendations (lost
@@ -55,7 +55,6 @@ instead of failing its neighbours.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -86,16 +85,6 @@ _OBJECTIVES = ("time", "budget")
 #: and retry hints.  Heavy enough to ride out one odd wave, light enough
 #: to track a knowledge reload that changes the serving cost.
 _EWMA_ALPHA = 0.2
-
-
-def _rec_cache_enabled() -> bool:
-    """Escape hatch: ``REPRO_REC_CACHE=0`` disables the memo cache.
-
-    Read once per scheduler construction; with it off every request
-    flows through the batching worker exactly as before the cache
-    existed.
-    """
-    return os.environ.get("REPRO_REC_CACHE", "1") != "0"
 
 
 @dataclass(frozen=True)
@@ -169,8 +158,7 @@ class MicroBatchScheduler:
         objective)``.  A repeat request whose knowledge version is
         unchanged is answered at submit time without touching the
         worker, byte-identical to the wave that computed it (selection
-        is deterministic per fingerprint).  ``0`` disables the cache;
-        ``REPRO_REC_CACHE=0`` disables it globally.
+        is deterministic per fingerprint).  ``0`` disables the cache.
     journal:
         Session-journal callable ``journal(handle, session, objective)``
         wired into the default inline backend — the knowledge
@@ -217,11 +205,7 @@ class MicroBatchScheduler:
             backend if backend is not None else InlineBackend(journal=journal)
         )
         self.shard = shard
-        self._rec_cache = (
-            LRUCache(rec_cache_size)
-            if rec_cache_size > 0 and _rec_cache_enabled()
-            else None
-        )
+        self._rec_cache = LRUCache(rec_cache_size) if rec_cache_size > 0 else None
         self._pending: deque[_Pending] = deque()
         self._cond = threading.Condition()
         self._stats_lock = threading.Lock()

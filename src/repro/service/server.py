@@ -48,7 +48,6 @@ from repro.service.learning import (
     DEFAULT_JOURNAL_LIMIT,
     LearningLoop,
     SessionJournal,
-    learning_enabled,
 )
 from repro.service.registry import SelectorRegistry
 from repro.service.scheduler import MicroBatchScheduler, SelectResponse
@@ -112,10 +111,9 @@ class SelectionService:
         self._lock = threading.Lock()
         self._schedulers: dict[str, MicroBatchScheduler | ShardRouter] = {}
         self._closed = False
-        # ``REPRO_LEARN=0`` vetoes --learn: with learning off (either
-        # way) no journal hook exists and serving is byte-identical to a
-        # learning-free build.
-        self.learn = bool(learn) and learning_enabled()
+        # With learning off no journal hook exists and serving is
+        # byte-identical to a learning-free build.
+        self.learn = bool(learn)
         self._journal: SessionJournal | None = None
         self._learning: LearningLoop | None = None
         self._owned_store: MetricsStore | None = None

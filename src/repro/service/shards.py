@@ -87,10 +87,7 @@ class _ShardRegistryView:
             and held.generation == base.generation
         ):
             return held
-        bundle = self._bundles.path_for(base)
-        # jobs=1: the shard worker is the parallelism; a campaign pool
-        # inside each shard would multiply processes for no wave speedup.
-        replica = load_selector_memmap(bundle, jobs=1)
+        replica = load_selector_memmap(self._bundles.path_for(base))
         handle = SelectorHandle(
             name=base.name,
             selector=replica,

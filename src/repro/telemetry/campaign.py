@@ -5,11 +5,12 @@ with 10 repetitions each (Section 4.1) — the dominant wall-clock cost of
 the whole reproduction, re-run serially by every consumer of the
 performance matrix.  :class:`ProfilingCampaign` makes that sweep
 
-- **parallel**: the (workload × VM type) grid fans out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Because every
-  (workload, VM, seed) triple derives its own noise stream
-  (:func:`repro.telemetry.collector._stream_seed`), results are
-  bit-identical to the serial path regardless of worker count or
+- **parallel**: a wave of missed (workload × VM type) cells large enough
+  to repay process start-up fans out over a
+  :class:`concurrent.futures.ProcessPoolExecutor`; smaller waves run
+  inline.  Because every (workload, VM, seed) triple derives its own
+  noise stream (:func:`repro.telemetry.collector._stream_seed`), results
+  are bit-identical to the serial path regardless of worker count or
   completion order — workers return ``(index, result)`` and the grid is
   reassembled by index;
 - **memoized**: a content-addressed :class:`ProfileCache` layered on
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import sqlite3
 import time
@@ -45,7 +47,7 @@ from repro.cloud.catalog import (
 from repro.cloud.faults import FaultEvent, FaultPlan
 from repro.cloud.noise import CloudNoiseModel
 from repro.cloud.vmtypes import VMType, get_vm_type
-from repro.errors import ProbeFailedError, ValidationError
+from repro.errors import ValidationError
 from repro.telemetry.collector import (
     DEFAULT_REPETITIONS,
     DataCollector,
@@ -66,6 +68,15 @@ __all__ = [
 #: Bump to invalidate every existing cache when the simulator's observable
 #: behaviour changes in ways the fingerprint inputs don't capture.
 CACHE_VERSION = 1
+
+#: Missed cells each pool worker must have before a wave fans out.  On a
+#: 2-vCPU Xeon (the 13 training workloads x n VM types, fresh campaign,
+#: 10 repetitions, medians of alternating runs) a 2-worker pool lost to
+#: inline at 65 cells (60 vs 22 ms) and 130 (58 vs 31 ms), broke even
+#: between 195 and 325 cells depending on the run, and won at 520 (94 vs
+#: 131 ms) and at the fit's 1300-cell runtime matrix (206 vs 317 ms); 96
+#: starts two workers from 192 cells, the low end of that band.
+_CELLS_PER_WORKER = 96
 
 
 def noise_fingerprint(model: CloudNoiseModel | None = None) -> str:
@@ -281,30 +292,20 @@ class _Task:
     capture: bool = False
 
 
-def _batching_enabled() -> bool:
-    """Vectorized chunk evaluation, with an env escape hatch.
-
-    ``REPRO_SIM_BATCH=0`` forces every cell through the scalar
-    :func:`_run_task` path — the executable specification — e.g. to
-    bisect a suspected batch-path divergence.  Results are bit-identical
-    either way (the identity suite gates this), so the switch only trades
-    speed.
-    """
-    return os.environ.get("REPRO_SIM_BATCH", "1") != "0"
-
-
 def _run_batch(
     tasks: list[_Task],
 ) -> list[tuple[int, WorkloadProfile | float | None, tuple[FaultEvent, ...]]]:
-    """Worker entry point: a chunk of grid cells, amortising IPC overhead.
+    """Profile a chunk of grid cells, inline or as a pool worker's unit.
 
     Cells sharing a collector configuration are evaluated through one
     vectorized :meth:`DataCollector.profile_many` pass — one simulator
     batch for the whole chunk instead of ``repetitions`` scalar runs per
     cell — which is where the campaign's ≥10x cold-cache speedup lives.
+    Each chunk builds its own collectors; the per-triple stream seeds
+    make the result identical to the scalar path whichever process runs
+    it, and observed fault events ride back with each result so the
+    parent campaign's counters stay exact.
     """
-    if not _batching_enabled():
-        return [_run_task(t) for t in tasks]
     groups: dict[tuple, list[_Task]] = {}
     for t in tasks:
         key = (
@@ -338,51 +339,20 @@ def _run_batch(
     return out
 
 
-def _run_task(task: _Task) -> tuple[int, WorkloadProfile | float, tuple[FaultEvent, ...]]:
-    """Worker entry point: profile one grid cell in a fresh collector.
-
-    Each worker builds its own :class:`DataCollector`; the per-triple
-    stream seed (and, under fault injection, the per-(triple, attempt)
-    retry seeds) makes the result identical to the serial path no matter
-    which process runs it or when.  Observed fault events ride back with
-    the result so the parent campaign's counters stay exact.
-    """
-    collector = DataCollector(
-        repetitions=task.repetitions,
-        seed=task.seed,
-        sample_period_s=task.sample_period_s,
-        faults=task.faults,
-        pricing=task.pricing,
-    )
-    try:
-        if task.runtime_only:
-            value: WorkloadProfile | float | None = collector.runtime_only(
-                task.spec, task.vm, nodes=task.nodes
-            )
-        else:
-            value = collector.collect(task.spec, task.vm, nodes=task.nodes)
-    except ProbeFailedError:
-        if not task.capture:
-            raise
-        return task.index, None, ()
-    return task.index, value, tuple(collector.drain_fault_events())
-
-
 class ProfilingCampaign:
     """Fan the offline profiling sweep over a process pool, memoized.
 
     Drop-in faster equivalent of looping
     :meth:`DataCollector.collect`/:meth:`DataCollector.runtime_only` over
     a (workload × VM type) grid: results are bit-identical to the serial
-    path for any ``jobs`` and any grid iteration order.
+    path for any grid iteration order.  Each wave of missed cells sizes
+    its own worker count (see :meth:`_execute`), so there is nothing to
+    tune.
 
     Parameters
     ----------
     repetitions, seed, sample_period_s:
         Forwarded to the underlying :class:`DataCollector` protocol.
-    jobs:
-        Worker process count (default: ``os.cpu_count()``).  ``1`` runs
-        serially in-process — the reference path.
     cache:
         ``None`` (no persistence), a sqlite path, or a ready
         :class:`ProfileCache`.  Independent of the persistent layer, the
@@ -414,7 +384,6 @@ class ProfilingCampaign:
         repetitions: int = DEFAULT_REPETITIONS,
         seed: int = 0,
         *,
-        jobs: int | None = None,
         cache: ProfileCache | str | None = None,
         sample_period_s: float = 5.0,
         faults: FaultPlan | None = None,
@@ -422,13 +391,9 @@ class ProfilingCampaign:
     ) -> None:
         if repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
-        jobs = (os.cpu_count() or 1) if jobs is None else int(jobs)
-        if jobs < 1:
-            raise ValidationError("jobs must be >= 1")
         self.repetitions = repetitions
         self.seed = seed
         self.sample_period_s = sample_period_s
-        self.jobs = jobs
         if cache is None or isinstance(cache, ProfileCache):
             self.cache = cache
         else:
@@ -504,9 +469,9 @@ class ProfilingCampaign:
         the rectangular grid API, each cell chooses its own kind, which is
         exactly the shape of a batched online wave (one full sandbox
         profile plus ``probes`` runtime-only cells per target).  Misses
-        fan out over the process pool in a single wave; subsequent
-        :meth:`collect`/:meth:`runtime_only` calls for the same cells are
-        pure memo hits, so results stay bit-identical to the serial path.
+        run as a single wave; subsequent :meth:`collect`/:meth:`runtime_only`
+        calls for the same cells are pure memo hits, so results stay
+        bit-identical to the serial path.
 
         Runs speculatively under a fault plan: a cell whose run fails
         permanently is left uncomputed (its fault events are dropped) so
@@ -603,7 +568,7 @@ class ProfilingCampaign:
         """Digest of everything that determines this campaign's outputs.
 
         Two campaigns with equal config fingerprints produce bit-identical
-        results for the same (workload, VM) grid, whatever their ``jobs``
+        results for the same (workload, VM) grid, whatever their wave sizes
         or cache settings; the knowledge pipeline folds this into every
         stage artifact address.
         """
@@ -735,15 +700,20 @@ class ProfilingCampaign:
     def _execute(
         self, tasks: list[_Task]
     ) -> list[tuple[int, WorkloadProfile | float, tuple[FaultEvent, ...]]]:
-        """Run tasks serially or on the pool; order of returns is arbitrary.
+        """Run one wave inline or on a pool sized from the wave.
 
+        The pool gets one worker per :data:`_CELLS_PER_WORKER` cells,
+        capped at the CPU count; fewer than two workers, or a daemonic
+        process (which may not start children), runs the wave inline.
         Tasks ship in chunks (≈4 per worker) so per-submission IPC cost
-        is amortised over many cheap simulations.
+        is amortised over many cheap simulations.  Order of returns is
+        arbitrary.
         """
-        if self.jobs == 1 or len(tasks) <= 1:
+        workers = min(os.cpu_count() or 1, len(tasks) // _CELLS_PER_WORKER)
+        if workers < 2 or multiprocessing.current_process().daemon:
             return _run_batch(tasks)
-        chunk = max(1, -(-len(tasks) // (self.jobs * 4)))
+        chunk = -(-len(tasks) // (workers * 4))
         batches = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(batches))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_batch, b) for b in batches]
             return [pair for f in as_completed(futures) for pair in f.result()]

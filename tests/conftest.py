@@ -53,6 +53,37 @@ def rng():
     return np.random.default_rng(SEED)
 
 
+@pytest.fixture()
+def force_pool(monkeypatch):
+    """Route every campaign wave of 2+ missed cells by a chosen CPU count.
+
+    ``force_pool(workers)`` patches the inputs of the campaign's private
+    size rule — one cell per worker and ``workers`` CPUs — so a small
+    test grid fans out over ``workers`` processes whatever the runner's
+    CPU count (``workers=1`` keeps every wave inline).  It returns the
+    worker counts of the pools actually started, so an identity test can
+    assert the pool ran instead of passing by running inline twice.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    import repro.telemetry.campaign as campaign
+
+    started: list[int] = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    def force(workers: int) -> list[int]:
+        monkeypatch.setattr(campaign, "_CELLS_PER_WORKER", 1)
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: workers)
+        monkeypatch.setattr(campaign, "ProcessPoolExecutor", RecordingPool)
+        return started
+
+    return force
+
+
 @pytest.fixture(scope="session")
 def fitted_vesta():
     """Offline-fitted Vesta on the full training set (shared)."""

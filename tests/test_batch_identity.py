@@ -406,8 +406,8 @@ class TestCollectorBatchIdentity:
 
 
 class TestCampaignBatchingGate:
-    """The env gate flips the campaign between batched and scalar paths —
-    and the two must be indistinguishable from results and fault logs."""
+    """The campaign's batched chunks against a plain scalar collector loop:
+    results and fault logs must be indistinguishable."""
 
     SPECS = tuple(
         make_spec(alg, fw, 5.0, 3)
@@ -415,17 +415,7 @@ class TestCampaignBatchingGate:
     )
     VMS = ("m5.xlarge", "c5.2xlarge", "r5.xlarge")
 
-    def test_batching_enabled_env_gate(self, monkeypatch):
-        from repro.telemetry.campaign import _batching_enabled
-
-        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        assert _batching_enabled() is True
-        monkeypatch.setenv("REPRO_SIM_BATCH", "0")
-        assert _batching_enabled() is False
-        monkeypatch.setenv("REPRO_SIM_BATCH", "1")
-        assert _batching_enabled() is True
-
-    def test_campaign_results_identical_across_gate(self, monkeypatch):
+    def test_campaign_results_identical_across_gate(self):
         from repro.telemetry.campaign import ProfilingCampaign
 
         plan = FaultPlan(
@@ -435,18 +425,22 @@ class TestCampaignBatchingGate:
             drop_prob=0.003,
             max_attempts=8,
         )
+        campaign = ProfilingCampaign(seed=7, faults=plan)
+        batched_matrix = campaign.runtime_matrix(self.SPECS, self.VMS)
+        batched_grid = campaign.collect_grid(self.SPECS[:2], self.VMS[:2])
 
-        def run(gate):
-            monkeypatch.setenv("REPRO_SIM_BATCH", gate)
-            campaign = ProfilingCampaign(seed=7, jobs=1, faults=plan)
-            matrix = campaign.runtime_matrix(self.SPECS, self.VMS)
-            grid = campaign.collect_grid(self.SPECS[:2], self.VMS[:2])
-            return matrix, grid, list(campaign.fault_log)
-
-        batched_matrix, batched_grid, batched_log = run("1")
-        scalar_matrix, scalar_grid, scalar_log = run("0")
+        scalar = DataCollector(seed=7, faults=plan)
+        scalar_matrix = np.array(
+            [[scalar.runtime_only(spec, vm) for vm in self.VMS] for spec in self.SPECS]
+        )
+        scalar_grid = {
+            (spec.name, vm): scalar.collect(spec, vm)
+            for spec in self.SPECS[:2]
+            for vm in self.VMS[:2]
+        }
         assert np.array_equal(batched_matrix, scalar_matrix)
-        assert batched_log == scalar_log
+        assert campaign.fault_log == scalar.drain_fault_events()
+        assert len(campaign.fault_log) > 0
         assert set(batched_grid) == set(scalar_grid)
         for key, a in batched_grid.items():
             b = scalar_grid[key]

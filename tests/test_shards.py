@@ -11,6 +11,8 @@ thread safety of :class:`DurationSummary`.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -25,6 +27,7 @@ from repro.core.persistence import save_selector
 from repro.core.vesta import Recommendation, VestaSelector
 from repro.errors import (
     DeadlineExceededError,
+    ServiceError,
     ServiceOverloadedError,
 )
 from repro.service import (
@@ -34,6 +37,7 @@ from repro.service import (
     ServiceClient,
     ShardRouter,
 )
+from repro.service.backend import BundleCache, ProcessPoolBackend
 from repro.service.server import serve
 from repro.service.shards import shard_for
 from repro.telemetry.latency import DurationSummary
@@ -160,6 +164,70 @@ class TestShardBitIdentity:
         assert stats["pool"] is True
         for row in stats["per_shard"]:
             assert row["backend"]["name"] == "pool"
+
+
+class TestPoolBackendRecovery:
+    """A slow, dead or failing pool worker costs at most its own wave."""
+
+    @pytest.fixture()
+    def backend(self, tmp_path):
+        backend = ProcessPoolBackend(BundleCache(tmp_path / "bundles"))
+        yield backend
+        backend.close()
+
+    @staticmethod
+    def _wave(names):
+        return [(get_workload(name), "time") for name in names]
+
+    def _assert_wave(self, outcomes, names, reference):
+        assert len(outcomes) == len(names)
+        for name, outcome in zip(names, outcomes):
+            _assert_matches_reference(outcome, reference[(name, "time")])
+
+    def test_timed_out_wave_leaves_no_reply_for_the_next(
+        self, backend, registry, reference
+    ):
+        handle = registry.get("default")
+        backend._timeout_s = 1e-3  # no worker loads a replica that fast
+        with pytest.raises(ServiceError, match="timed out"):
+            backend.run(handle, self._wave(TARGETS[:3]))
+        backend._timeout_s = 300.0
+        outcomes = backend.run(handle, self._wave(TARGETS[3:]))
+        self._assert_wave(outcomes, TARGETS[3:], reference)
+        assert backend.describe()["restarts"] == 1
+
+    def test_killed_worker_is_replaced_before_the_next_wave(
+        self, backend, registry, reference
+    ):
+        handle = registry.get("default")
+        self._assert_wave(
+            backend.run(handle, self._wave(TARGETS[:1])), TARGETS[:1], reference
+        )
+        pid = backend.describe()["pid"]
+        os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 30.0
+        while backend.describe()["alive"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not backend.describe()["alive"]
+        self._assert_wave(
+            backend.run(handle, self._wave(TARGETS)), TARGETS, reference
+        )
+        described = backend.describe()
+        assert described["restarts"] == 1
+        assert described["alive"] and described["pid"] != pid
+
+    def test_unexpected_error_fails_only_its_wave(
+        self, backend, registry, reference
+    ):
+        handle = registry.get("default")
+        # A bare name where a WorkloadSpec belongs: not a ReproError.
+        (outcome,) = backend.run(handle, [(TARGETS[0], "time")])
+        assert isinstance(outcome, ServiceError)
+        assert "AttributeError" in str(outcome)
+        self._assert_wave(
+            backend.run(handle, self._wave(TARGETS[:2])), TARGETS[:2], reference
+        )
+        assert backend.describe()["restarts"] == 0
 
 
 class TestShardHotReload:
