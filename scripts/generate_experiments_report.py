@@ -257,12 +257,15 @@ def main() -> None:
 
     sections.append(
         "## Extension caveat: continual knowledge updating\n"
-        "Naive absorption of model-filled response rows (core/continual.py)\n"
-        "does **not** improve later predictions in this substrate — the\n"
-        "absorbed rows carry their own prediction error and later targets\n"
-        "inherit it (see `benchmarks/bench_ext_continual.py` for the\n"
-        "measured comparison).  The paper's continual-update sketch is\n"
-        "implemented with guards, defaulting to safe behaviour.\n"
+        "Naive growth — promoting every served session that passes the\n"
+        "structural pre-gate (`absorb_naive` in\n"
+        "`experiments/ext_lifecycle.py`, through `VestaSelector.promote`) —\n"
+        "does **not** reliably improve later predictions in this substrate:\n"
+        "the promoted rows carry their own prediction error and later targets\n"
+        "inherit it (the naive row of `repro experiment ext_lifecycle`).\n"
+        "The paper's continual-update sketch is implemented with guards,\n"
+        "defaulting to safe behaviour (knowledge grows only under\n"
+        "`repro serve --learn` or `repro learn`).\n"
     )
 
     sections.append(

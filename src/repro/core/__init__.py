@@ -12,8 +12,10 @@
   similarity with probe-run fingerprint scaling;
 - :mod:`repro.core.vesta` — :class:`~repro.core.vesta.VestaSelector`,
   the end-to-end offline-fit / online-select system (Algorithm 1);
-- :mod:`repro.core.continual` — continual knowledge updating
-  (Section 4.2's "continually update the model");
+- :mod:`repro.core.lifecycle` — continual knowledge updating
+  (Section 4.2's "continually update the model"): served sessions grow
+  the knowledge through :meth:`~repro.core.vesta.VestaSelector.promote`,
+  gated by measured transfer;
 - :mod:`repro.core.cluster_sizing` — joint (VM type, cluster size)
   selection, the Table-1 iteration-to-parallelism extension.
 """
@@ -21,7 +23,6 @@
 from repro.core.artifacts import Artifact, ArtifactInfo, ArtifactStore
 from repro.core.cluster_sizing import ClusterChoice, ClusterSizer
 from repro.core.cmf import CMF, CMFResult
-from repro.core.continual import ContinualVesta
 from repro.core.graph import KnowledgeGraph
 from repro.core.labels import LabelSpace
 from repro.core.pipeline import KnowledgePipeline, StageResult
@@ -41,7 +42,6 @@ __all__ = [
     "CMF",
     "ClusterChoice",
     "ClusterSizer",
-    "ContinualVesta",
     "CMFResult",
     "KnowledgeGraph",
     "LabelSpace",

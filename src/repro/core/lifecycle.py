@@ -1,11 +1,12 @@
 """Knowledge lifecycle: served targets become sources, gated by measurement.
 
-The paper freezes its source knowledge at the offline Hadoop+Hive
-matrices and leaves knowledge-base growth open; our naive continual
-absorption (:mod:`repro.core.continual`) measurably *degrades* later
-predictions — model-filled response rows carry their own prediction
-error, and later same-framework targets match them strongly ("knowledge
-pollution", see ``benchmarks/bench_ext_continual.py``).
+The paper's Section 4.2 sketches "continually updat[ing] the model in
+the matrix space" with every onboarded target.  Naive growth — promote
+every session that passes :meth:`TransferGate.pre_gate` — can pollute
+the knowledge: model-filled response rows carry their own prediction
+error, and later same-framework targets match them strongly
+(``repro experiment ext_lifecycle`` records the naive policy next to
+frozen and gated knowledge).
 
 This module is the production answer: grow the knowledge only when the
 growth is **measured to help**.  Completed online sessions are journalled
@@ -19,10 +20,10 @@ rule of "Transferable Knowledge for Low-cost Decision Making in Cloud
 Environments" and of cogspaces' ``StudySelector``: rank candidate sources
 by ``score - baseline_score`` and drop negative transfer.
 
-Survivors are spliced into the source knowledge through the pipeline's
-``promotions`` stage (:meth:`VestaSelector.promote`): everything
-campaign-derived is a cache hit, only affinity → factors → knowledge
-recompute, so a promotion costs zero extra campaign cells.
+Naive and gated growth alike reach the knowledge only through the
+pipeline's ``promotions`` stage (:meth:`VestaSelector.promote`):
+everything campaign-derived is a cache hit, only affinity → factors →
+knowledge recompute, so a promotion costs zero extra campaign cells.
 """
 
 from __future__ import annotations
@@ -31,7 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.pipeline import NEAR_BEST_TAU, PromotedSource
+from repro.core.pipeline import (
+    NEAR_BEST_TAU,
+    PromotedSource,
+    cluster_affinity,
+    near_best_scores,
+)
 from repro.core.predictor import SimilarityPredictor
 from repro.core.vesta import OnlineSession, VestaSelector
 from repro.errors import ValidationError
@@ -42,6 +48,7 @@ __all__ = [
     "LifecycleReport",
     "TransferGate",
     "TransferScore",
+    "promoted_source",
     "record_from_session",
 ]
 
@@ -76,6 +83,16 @@ def record_from_session(
         ),
         completed_row=np.asarray(session.completed_row, dtype=float),
         predicted=np.asarray(session.predict_runtimes(), dtype=float),
+    )
+
+
+def promoted_source(record: SessionRecord) -> PromotedSource:
+    """The knowledge row a promotion of ``record`` splices into U and P."""
+    return PromotedSource(
+        name=record.workload,
+        label_row=record.completed_row,
+        perf_row=record.predicted,
+        lineage=record.fingerprint,
     )
 
 
@@ -139,26 +156,19 @@ class TransferGate:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(U, P, V) of the current knowledge plus ``extra`` candidate rows.
 
-        The V refresh mirrors :meth:`ContinualVesta.absorb` — raw
-        label-VM affinities from the near-best scores, smoothed over the
-        selector's existing VM clusters — so the gate evaluates exactly
-        the knowledge a promotion would produce.
+        V is built by the pipeline's own near-best/affinity code, smoothed
+        over the selector's *current* VM clusters.  A promotion differs in
+        one step: it re-fits K-Means on the grown near-best scores, so
+        when a candidate moves VMs between clusters the gate scores a V
+        the promotion does not produce (on the ``ext_lifecycle`` stream,
+        spark-svd++'s promotion re-clusters and V moves by up to 0.25).
         """
         sel = self.sel
         U, perf = sel.U, sel.perf
         if extra:
             U = np.vstack([U] + [r.completed_row for r in extra])
             perf = np.vstack([perf] + [r.predicted for r in extra])
-        best = perf.min(axis=1, keepdims=True)
-        near_best = np.exp(-(perf / best - 1.0) / NEAR_BEST_TAU)
-        label_mass = U.sum(axis=0)
-        v_raw = (near_best.T @ U) / np.where(label_mass > 0, label_mass, 1.0)
-        V = v_raw.copy()
-        for c in range(sel.kmeans.k):
-            members = sel.vm_clusters == c
-            if members.any():
-                V[members] = v_raw[members].mean(axis=0)
-        return U, perf, V
+        return U, perf, cluster_affinity(near_best_scores(perf), U, sel.vm_clusters)
 
     def _holdout_errors(
         self,
@@ -200,8 +210,9 @@ class TransferGate:
 
     # -- scoring ---------------------------------------------------------------
 
-    def _pre_gate(self, record: SessionRecord) -> str | None:
-        """Cheap structural rejections before any measurement."""
+    def pre_gate(self, record: SessionRecord) -> str | None:
+        """Cheap structural rejection reason, or ``None`` when ``record``
+        may be measured (or, under naive growth, promoted outright)."""
         sel = self.sel
         if not record.converged:
             return "non-convergent"
@@ -246,7 +257,7 @@ class TransferGate:
         holdouts (converged, at least two measured VMs) supply the
         held-out measured runtimes both knowledge variants must predict.
         """
-        reason = self._pre_gate(record)
+        reason = self.pre_gate(record)
         if reason is not None:
             return TransferScore(workload=record.workload, accepted=False, reason=reason)
         holdouts = tuple(
@@ -352,16 +363,7 @@ class KnowledgeLifecycle:
                 scores.extend(round_scores)
                 break
             best_score, best_record = max(accepted, key=lambda sr: sr[0].diff)
-            self.sel.promote(
-                [
-                    PromotedSource(
-                        name=best_record.workload,
-                        label_row=best_record.completed_row,
-                        perf_row=best_record.predicted,
-                        lineage=best_record.fingerprint,
-                    )
-                ]
-            )
+            self.sel.promote([promoted_source(best_record)])
             promoted.append(best_record.workload)
             scores.append(best_score)
             remaining = [r for r in remaining if r is not best_record]

@@ -34,6 +34,10 @@ are byte-compatible with version 3 readers' expectations (same arrays,
 same stage fingerprints).  Version 1 archives (flat array names,
 pre-pipeline) remain loadable.
 
+Every load — an ``.npz`` archive, a memmap bundle directory, or an
+in-memory clone — takes one path: :func:`_upgrade` validates the
+metadata and brings older layouts to the current one, then each stage
+is restored through :meth:`~repro.core.pipeline.KnowledgePipeline.restore`.
 Loading re-binds the stored workload/VM names against the current
 catalogs and rebuilds the knowledge graph and predictor through the
 pipeline's ``knowledge`` stage; a mismatch (e.g.
@@ -48,15 +52,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis.kmeans import KMeans
 from repro.cloud.catalog import DEFAULT_CATALOG, get_catalog
 from repro.cloud.faults import FaultPlan
 from repro.core.artifacts import (
     ArtifactStore,
+    content_fingerprint,
     read_memmap_bundle,
     write_memmap_bundle,
 )
-from repro.core.labels import LabelSpace
 from repro.core.pipeline import CACHED_STAGES, STAGES, PromotedSource
 from repro.core.vesta import VestaSelector
 from repro.errors import ValidationError
@@ -68,28 +71,38 @@ __all__ = [
     "load_selector",
     "clone_knowledge",
     "export_memmap_bundle",
-    "load_selector_memmap",
     "archive_knowledge_fingerprint",
     "FORMAT_VERSION",
 ]
 
 FORMAT_VERSION = 4
 
-_HYPERPARAMS_V1 = (
-    "k",
-    "lam",
-    "latent_dim",
-    "keep_mass",
-    "probes",
-    "correlation_probe_count",
-    "top_m",
-    "temperature",
-    "match_threshold",
-    "affinity_weight",
-    "seed",
-)
+#: Archived hyperparameters and the JSON type each must carry.
+_HYPERPARAMS: dict[str, type] = {
+    "k": int,
+    "lam": float,
+    "latent_dim": int,
+    "keep_mass": float,
+    "probes": int,
+    "correlation_probe_count": int,
+    "top_m": int,
+    "temperature": float,
+    "match_threshold": float,
+    "affinity_weight": float,
+    "seed": int,
+    "label_width": float,
+    "label_softness": int,
+    "cmf_mode": str,
+}
 
-_HYPERPARAMS = _HYPERPARAMS_V1 + ("label_width", "label_softness", "cmf_mode")
+#: Version 1's flat array names, grouped under the stage that owns each.
+_V1_STAGE_ARRAYS = {
+    "perf_matrix": ("perf",),
+    "corr_signatures": ("correlations",),
+    "feature_selection": ("kept_features", "feature_importance"),
+    "labels_u": ("U",),
+    "affinity_v": ("near_best", "V", "kmeans_centers", "vm_clusters"),
+}
 
 
 def _stage_arrays(selector: VestaSelector) -> dict[str, dict[str, np.ndarray]]:
@@ -192,7 +205,7 @@ def export_memmap_bundle(selector: VestaSelector, directory: str | Path) -> Path
     version-2 ``.npz`` archive holds, but stored as raw ``.npy`` files
     so shard replicas and pool worker processes open them read-only via
     ``numpy.memmap`` and share one page-cache copy instead of each
-    decompressing a private one.
+    decompressing a private one.  :func:`load_selector` restores it.
 
     Raises
     ------
@@ -213,94 +226,88 @@ def archive_knowledge_fingerprint(path: str | Path) -> str | None:
     whose archive holds the knowledge version already being served.
     Returns ``None`` for archives that predate stage fingerprints
     (version 1); those need a full load to compare.
-    """
-    from repro.core.artifacts import content_fingerprint
 
+    Raises
+    ------
+    ValidationError
+        When the archive is unreadable or its metadata malformed.
+    """
     try:
         with np.load(Path(path)) as data:
             meta = json.loads(bytes(data["meta"]).decode())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         raise ValidationError(f"cannot read archive {path}: {exc}") from exc
+    meta, _ = _upgrade(meta, {})
     fingerprints = meta.get("stage_fingerprints")
     if not fingerprints:
         return None
-    cmf_mode = meta.get("hyperparams", {}).get("cmf_mode", "full")
+    cmf_mode = meta["hyperparams"].get("cmf_mode", "full")
     return content_fingerprint(stages=fingerprints, cmf_mode=cmf_mode)[:16]
 
 
-def _restore_v1(
-    selector: VestaSelector, meta: dict, arrays: dict[str, np.ndarray]
-) -> None:
-    """Flat pre-pipeline layout: rebind arrays directly onto the selector."""
-    selector.label_width = float(meta["label_width"])
-    selector.label_softness = int(meta["label_softness"])
-
-    selector.perf = arrays["perf"]
-    selector.correlations = arrays["correlations"]
-    selector.kept_features = arrays["kept_features"]
-    selector.feature_importance = arrays["feature_importance"]
-    selector.U = arrays["U"]
-    selector.V = arrays["V"]
-    selector.near_best = arrays["near_best"]
-    selector.vm_clusters = arrays["vm_clusters"]
-
-    selector.label_space = LabelSpace(
-        tuple(meta["label_features"]),
-        width=meta["label_width"],
-        softness=meta["label_softness"],
+def _is(value, kind: type) -> bool:
+    """JSON type check: a bool is no number, an int passes as a float."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind
     )
-    if selector.U.shape != (len(selector.sources), selector.label_space.n_labels):
+
+
+def _upgrade(
+    meta, arrays: dict[str, np.ndarray]
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Validate archive metadata and bring it to the current layout.
+
+    The one version check (1..:data:`FORMAT_VERSION`).  A version-1
+    archive's flat arrays are renamed to ``stage.array`` and its
+    top-level ``label_width``/``label_softness`` move into
+    ``hyperparams``; it records no stage fingerprints, so its stages are
+    applied but not adopted.  Later versions only gained metadata whose
+    absence the restore already tolerates.
+
+    Raises
+    ------
+    ValidationError
+        On an unsupported version or malformed metadata.
+    """
+    if not isinstance(meta, dict):
         raise ValidationError(
-            f"archive U shape {selector.U.shape} inconsistent with "
-            f"{len(selector.sources)} sources x "
-            f"{selector.label_space.n_labels} labels"
+            f"archive metadata must be a JSON object, not {type(meta).__name__}"
         )
-
-    kmeans = KMeans(arrays["kmeans_centers"].shape[0], seed=selector.seed)
-    kmeans.centers_ = arrays["kmeans_centers"]
-    kmeans.labels_ = selector.vm_clusters
-    selector.kmeans = kmeans
-
-    pipeline = selector.pipeline
-    # Pre-pipeline archives predate the offline/online CMF split; the
-    # source factors are a deterministic function of the restored U/V.
-    pipeline._apply_source_factors(pipeline._compute_source_factors())
-    pipeline._apply_knowledge({})
-
-
-def _restore_v2(
-    selector: VestaSelector, meta: dict, arrays: dict[str, np.ndarray]
-) -> None:
-    """Staged layout: route every stage through the pipeline's validation
-    and adopt the artifacts under their archived fingerprints."""
-    fingerprints = meta.get("stage_fingerprints", {})
-    for stage in STAGES:
-        if stage in CACHED_STAGES:
-            prefix = stage + "."
-            bundle = {
-                name[len(prefix):]: array
-                for name, array in arrays.items()
-                if name.startswith(prefix)
-            }
-            if not bundle:
-                if stage == "source_factors":
-                    # Version-2 archive from before the offline/online CMF
-                    # split: derive the factors from the restored U/V (a
-                    # deterministic function of stages already applied).
-                    # Applied directly, not adopted — the live upstream
-                    # fingerprints need not match the archived content,
-                    # so adopting could mislabel a store artifact.
-                    pipeline = selector.pipeline
-                    pipeline._apply_source_factors(
-                        pipeline._compute_source_factors()
-                    )
-                    continue
-                raise ValidationError(f"archive has no arrays for stage {stage!r}")
-        else:
-            bundle = {}
-        selector.pipeline.restore(
-            stage, bundle, fingerprint=fingerprints.get(stage)
+    version = meta.get("format_version")
+    if not _is(version, int) or not 1 <= version <= FORMAT_VERSION:
+        raise ValidationError(
+            f"unsupported archive version {version!r}; "
+            f"this build reads versions 1..{FORMAT_VERSION}"
         )
+    hp = meta.get("hyperparams")
+    if not isinstance(hp, dict):
+        raise ValidationError("archive metadata has no 'hyperparams' object")
+    if version == 1:
+        labels = {n: meta[n] for n in ("label_width", "label_softness") if n in meta}
+        hp = {**hp, **labels}
+        meta = {**meta, "hyperparams": hp}
+        arrays = {
+            f"{stage}.{name}": arrays[name]
+            for stage, names in _V1_STAGE_ARRAYS.items()
+            for name in names
+            if name in arrays
+        }
+    for name, kind in _HYPERPARAMS.items():
+        if name in hp and not _is(hp[name], kind):
+            raise ValidationError(
+                f"archive hyperparameter {name}={hp[name]!r} is not "
+                f"{kind.__name__}"
+            )
+    if not _is(meta.get("repetitions"), int):
+        raise ValidationError("archive metadata has no integer 'repetitions'")
+    if not isinstance(meta.get("stage_fingerprints", {}), dict):
+        raise ValidationError("archive 'stage_fingerprints' must be a JSON object")
+    promotions = meta.get("promotions") or []
+    if not isinstance(promotions, list) or not all(
+        isinstance(p, dict) and isinstance(p.get("name"), str) for p in promotions
+    ):
+        raise ValidationError("archive 'promotions' must be a list of named objects")
+    return meta, arrays
 
 
 def load_selector(
@@ -312,91 +319,53 @@ def load_selector(
 ) -> VestaSelector:
     """Rebuild a fitted :class:`VestaSelector` from a saved archive.
 
+    ``path`` is an ``.npz`` archive (:func:`save_selector`) or a memmap
+    bundle directory (:func:`export_memmap_bundle`).  A bundle's
+    knowledge arrays stay read-only memory-maps of the bundle files, so
+    N replicas (threads or processes) share one page-cache copy of the
+    frozen knowledge while each keeps private online-session state.
+
     ``cache``, ``faults`` and ``store`` configure the rebuilt selector's
     profiling campaign and artifact store (the knowledge itself is
     restored from the archive): a production deployment loads the fitted
     knowledge once and serves online sessions under its own
-    cache/fault-plan settings.  With a version-2 archive the
-    restored stage artifacts are adopted into the selector's pipeline
-    (and ``store``, when given), so a subsequent
-    :meth:`~repro.core.vesta.VestaSelector.refit` reuses them.
+    cache/fault-plan settings.  Stages archived with a fingerprint are
+    adopted into the selector's pipeline (and ``store``, when given), so
+    a subsequent :meth:`~repro.core.vesta.VestaSelector.refit` reuses
+    them.
 
     Raises
     ------
     ValidationError
-        On format-version mismatch or when a stored workload/VM name is
-        absent from the current catalogs.
+        On an unreadable archive, format-version mismatch, malformed
+        metadata, or when a stored workload/VM name is absent from the
+        current catalogs.
     """
     path = Path(path)
     try:
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            version = meta.get("format_version")
-            if version not in (1, 2, 3, FORMAT_VERSION):
-                raise ValidationError(
-                    f"unsupported archive version {version!r}; "
-                    f"this build reads versions 1..{FORMAT_VERSION}"
-                )
-            arrays = {key: data[key] for key in data.files if key != "meta"}
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
+        if path.is_dir():
+            meta, arrays = read_memmap_bundle(path)
+        else:
+            with np.load(path) as data:
+                meta = json.loads(bytes(data["meta"]).decode())
+                arrays = {key: data[key] for key in data.files if key != "meta"}
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"cannot read archive {path}: {exc}") from exc
     return _restore_selector(
         meta, arrays, cache=cache, faults=faults, store=store
     )
 
 
-def load_selector_memmap(
-    directory: str | Path,
-    *,
-    cache: ProfileCache | str | None = None,
-    faults: FaultPlan | None = None,
-    store: ArtifactStore | str | None = None,
-) -> VestaSelector:
-    """Rebuild a fitted selector from a memmap bundle, sharing its pages.
-
-    The counterpart of :func:`load_selector` for bundles written by
-    :func:`export_memmap_bundle`: knowledge arrays stay read-only
-    memory-maps of the bundle files, so N replicas (threads or
-    processes) hold one shared copy of the frozen knowledge while each
-    keeps private online-session state.  The restored selector's stage
-    fingerprints — and therefore its knowledge fingerprint — match the
-    exporting selector's exactly.
-
-    Raises
-    ------
-    ValidationError
-        When the directory holds no committed bundle or the bundle is
-        unreadable or references unknown catalog entries.
-    """
-    try:
-        meta, arrays = read_memmap_bundle(directory)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise ValidationError(
-            f"cannot read memmap bundle {directory}: {exc}"
-        ) from exc
-    version = meta.get("format_version")
-    if version not in (2, 3, FORMAT_VERSION):
-        raise ValidationError(
-            f"unsupported bundle version {version!r}; "
-            f"memmap bundles are written at version {FORMAT_VERSION}"
-        )
-    return _restore_selector(
-        meta, arrays, cache=cache, faults=faults, store=store
-    )
-
-
 def _restore_selector(
-    meta: dict,
+    meta,
     arrays: dict[str, np.ndarray],
     *,
     cache: ProfileCache | str | None,
     faults: FaultPlan | None,
     store: ArtifactStore | str | None,
 ) -> VestaSelector:
-    """Common tail of every load path: rebind names, restore stages."""
-    version = meta.get("format_version")
+    """Common tail of every load path: upgrade, rebind names, restore stages."""
+    meta, arrays = _upgrade(meta, arrays)
     # Versions 1 and 2 predate the catalog dimension: they were always
     # fitted against the EC2 Table-4 catalog, so they load as implicit
     # ``ec2``.  Version 3 records the catalog explicitly and refuses a
@@ -423,7 +392,6 @@ def _restore_selector(
         raise ValidationError(f"archive references unknown catalog entries: {exc}") from exc
 
     hp = meta["hyperparams"]
-    names = _HYPERPARAMS_V1 if version == 1 else _HYPERPARAMS
     selector = VestaSelector(
         vms=vms,
         sources=sources,
@@ -435,7 +403,7 @@ def _restore_selector(
         # Tolerant of archives written before a hyperparameter existed
         # (e.g. pre-serving v2 archives have no cmf_mode): constructor
         # defaults cover the gap.
-        **{name: hp[name] for name in names if name in hp},
+        **{name: hp[name] for name in _HYPERPARAMS if name in hp},
     )
 
     # Reconstruct the promotion list before the stage loop runs: the
@@ -470,10 +438,29 @@ def _restore_selector(
             for i, entry in enumerate(promo_meta)
         )
 
-    if version == 1:
-        _restore_v1(selector, meta, arrays)
-    else:
-        _restore_v2(selector, meta, arrays)
+    # Route every stage through the pipeline's apply-time validation,
+    # adopting it under its archived fingerprint when one was recorded.
+    pipeline = selector.pipeline
+    fingerprints = meta.get("stage_fingerprints", {})
+    for stage in STAGES:
+        fingerprint = fingerprints.get(stage)
+        bundle = {}
+        if stage in CACHED_STAGES:
+            prefix = stage + "."
+            bundle = {
+                name[len(prefix):]: array
+                for name, array in arrays.items()
+                if name.startswith(prefix)
+            }
+            if not bundle and stage == "source_factors":
+                # Archives from before the offline/online CMF split (all
+                # of version 1, early version 2) derive the factors from
+                # the restored U/V; not adopted, so a store never files
+                # derived content under an archived address.
+                bundle, fingerprint = pipeline._compute_source_factors(), None
+            elif not bundle:
+                raise ValidationError(f"archive has no arrays for stage {stage!r}")
+        pipeline.restore(stage, bundle, fingerprint=fingerprint)
     selector._fitted = True
     return selector
 

@@ -64,6 +64,8 @@ __all__ = [
     "STAGES",
     "CACHED_STAGES",
     "NEAR_BEST_TAU",
+    "cluster_affinity",
+    "near_best_scores",
     "promotions_token",
     "shared_perf_rows",
     "specs_token",
@@ -134,6 +136,30 @@ def promotions_token(promotions: tuple[PromotedSource, ...]) -> str:
         digest.update(promo.label_row.tobytes())
         digest.update(promo.perf_row.tobytes())
     return digest.hexdigest()
+
+
+def near_best_scores(perf: np.ndarray) -> np.ndarray:
+    """Per-(workload, VM) near-best scores ``exp(-slowdown / NEAR_BEST_TAU)``."""
+    best = perf.min(axis=1, keepdims=True)
+    slowdown = perf / best - 1.0
+    return np.exp(-slowdown / NEAR_BEST_TAU)
+
+
+def cluster_affinity(
+    near_best: np.ndarray, U: np.ndarray, vm_clusters: np.ndarray
+) -> np.ndarray:
+    """Label-VM affinity matrix V, smoothed over VM clusters.
+
+    Near-best scores are aggregated through U into raw label-VM
+    affinities, and every VM takes the mean raw row of its cluster.
+    """
+    label_mass = U.sum(axis=0)
+    v_raw = (near_best.T @ U) / np.where(label_mass > 0, label_mass, 1.0)
+    V = np.empty_like(v_raw)
+    for c in np.unique(vm_clusters):
+        members = vm_clusters == c
+        V[members] = v_raw[members].mean(axis=0)
+    return V
 
 
 def specs_token(specs) -> str:
@@ -478,29 +504,16 @@ class KnowledgePipeline:
 
     def _compute_affinity_v(self) -> dict[str, np.ndarray]:
         sel = self.sel
-        # Per-(VM, workload) near-best scores from P, aggregated through U
-        # into raw label-VM affinities, smoothed with K-Means over VM
-        # types (Figure 11).
-        best = sel.perf.min(axis=1, keepdims=True)
-        slowdown = sel.perf / best - 1.0
-        near_best = np.exp(-slowdown / NEAR_BEST_TAU)  # (sources, vms)
-
-        label_mass = sel.U.sum(axis=0)  # (labels,)
-        v_raw = (near_best.T @ sel.U) / np.where(label_mass > 0, label_mass, 1.0)
-
-        km_features = near_best.T  # VM described by how it serves sources
-        kmeans = KMeans(min(sel.k, len(sel.vms)), seed=sel.seed).fit(km_features)
-        vm_clusters = kmeans.labels_
-        V = np.empty_like(v_raw)
-        for c in range(kmeans.k):
-            members = vm_clusters == c
-            if members.any():
-                V[members] = v_raw[members].mean(axis=0)
+        near_best = near_best_scores(sel.perf)
+        # K-Means over VM types, each described by how it serves the
+        # sources, smooths the affinities (Figure 11).
+        kmeans = KMeans(min(sel.k, len(sel.vms)), seed=sel.seed).fit(near_best.T)
+        vm_clusters = np.asarray(kmeans.labels_, dtype=np.int64)
         return {
             "near_best": near_best,
-            "V": V,
+            "V": cluster_affinity(near_best, sel.U, vm_clusters),
             "kmeans_centers": kmeans.centers_,
-            "vm_clusters": np.asarray(vm_clusters, dtype=np.int64),
+            "vm_clusters": vm_clusters,
         }
 
     def _apply_affinity_v(self, arrays: dict[str, np.ndarray]) -> None:
@@ -593,32 +606,6 @@ class KnowledgePipeline:
             meta["vms_token"] = vms_token(sel.vms)
         return meta
 
-    def adopt(
-        self,
-        name: str,
-        arrays: dict[str, np.ndarray],
-        *,
-        fingerprint: str | None = None,
-    ) -> None:
-        """Seed a stage artifact (e.g. from a persisted archive).
-
-        ``fingerprint`` defaults to the stage's current fingerprint; a
-        saved archive passes the fingerprint recorded at save time, so
-        adopted artifacts are only ever reused if the configuration that
-        produced them still matches.
-        """
-        if name not in CACHED_STAGES:
-            raise ValidationError(f"unknown cacheable stage {name!r}")
-        key = fingerprint if fingerprint is not None else self.fingerprints()[name]
-        self._memory[name] = (key, dict(arrays))
-        if self.store is not None:
-            self.store.put(
-                key,
-                name,
-                dict(arrays),
-                meta=self._artifact_meta(name, self.sel.campaign.config_fingerprint()),
-            )
-
     def restore(
         self,
         name: str,
@@ -631,8 +618,12 @@ class KnowledgePipeline:
         The entry point for :mod:`repro.core.persistence`: the archived
         arrays go through the same apply-time validation as a live fit,
         then get seeded into the memory cache (and store, when present)
-        under the archived fingerprint so a subsequent
-        :meth:`~repro.core.vesta.VestaSelector.refit` reuses them.
+        under ``fingerprint`` so a subsequent
+        :meth:`~repro.core.vesta.VestaSelector.refit` reuses them.  A
+        stage restored without a fingerprint (an archive that predates
+        stage fingerprints, or factors derived on load) is applied but
+        not adopted: nothing vouches that its content matches the live
+        configuration's address.
         """
         try:
             self._apply(name, arrays)
@@ -640,8 +631,16 @@ class KnowledgePipeline:
             raise ValidationError(
                 f"stage {name!r} artifact is missing array {exc}"
             ) from exc
-        if name in CACHED_STAGES:
-            self.adopt(name, arrays, fingerprint=fingerprint)
+        if name not in CACHED_STAGES or fingerprint is None:
+            return
+        self._memory[name] = (fingerprint, dict(arrays))
+        if self.store is not None:
+            self.store.put(
+                fingerprint,
+                name,
+                dict(arrays),
+                meta=self._artifact_meta(name, self.sel.campaign.config_fingerprint()),
+            )
 
     def run(self) -> dict[str, StageResult]:
         """Execute the stage graph, reusing unchanged artifacts.

@@ -97,8 +97,12 @@ class CrossCloudResult:
 def _transferred_vesta(donor: VestaSelector, catalog: str, seed: int) -> VestaSelector:
     """Target-catalog selector adopting the donor's correlation signatures."""
     v = VestaSelector(seed=seed, catalog=catalog, **campaign_options())
+    # Adopted under the target's own address, so fit() reuses the
+    # donor's signatures instead of profiling the correlation grid.
     v.pipeline.restore(
-        "corr_signatures", {"correlations": donor.correlations}
+        "corr_signatures",
+        {"correlations": donor.correlations},
+        fingerprint=v.pipeline.fingerprints()["corr_signatures"],
     )
     return v.fit()
 

@@ -1,10 +1,9 @@
 """Extension: gated knowledge growth vs frozen and naive absorption.
 
 The paper freezes its source knowledge after the offline phase and
-sketches continual updating as future work; our naive implementation
-(:mod:`repro.core.continual`) measurably pollutes the knowledge pool
-(``benchmarks/bench_ext_continual.py``).  This experiment runs the
-production answer — the measured-transferability lifecycle of
+sketches continual updating (Section 4.2) as future work.  This
+experiment runs that sketch (naive growth) next to the production
+answer — the measured-transferability lifecycle of
 :mod:`repro.core.lifecycle` — through a serve-stream protocol and
 reports the knowledge-growth progression.
 
@@ -17,8 +16,10 @@ Protocol
 2. Three policies over the same stream:
 
    - **frozen** — the paper's setup: knowledge never grows;
-   - **naive** — :class:`ContinualVesta` absorbs every structurally
-     plausible session (converged, enough observations);
+   - **naive** — every session is journalled and promoted whenever
+     :meth:`~repro.core.lifecycle.TransferGate.pre_gate` passes it
+     (converged, not degraded, enough observations, not yet known);
+     the gated policy without the measurement (:func:`absorb_naive`);
    - **gated** — every session is journalled as a
      :class:`~repro.telemetry.store.SessionRecord` and a
      :class:`~repro.core.lifecycle.KnowledgeLifecycle` cycle runs after
@@ -38,9 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.continual import ContinualVesta
-from repro.core.lifecycle import KnowledgeLifecycle, record_from_session
+from repro.core.lifecycle import (
+    KnowledgeLifecycle,
+    TransferGate,
+    promoted_source,
+    record_from_session,
+)
 from repro.core.persistence import clone_knowledge
+from repro.core.vesta import VestaSelector
 from repro.experiments.common import (
     DEFAULT_SEED,
     campaign_options,
@@ -48,11 +54,13 @@ from repro.experiments.common import (
     mape_vs_best,
     selection_regret,
 )
+from repro.telemetry.store import SessionRecord
 from repro.workloads.catalog import target_set
 
 __all__ = [
     "PolicyProgression",
     "LifecycleResult",
+    "absorb_naive",
     "run",
     "format_table",
 ]
@@ -101,6 +109,15 @@ def _fresh_clone(seed: int):
     return clone_knowledge(fitted_vesta(seed), **campaign_options())
 
 
+def absorb_naive(selector: VestaSelector, record: SessionRecord) -> bool:
+    """Naive growth: promote ``record`` unless the structural pre-gate
+    rejects it.  Returns whether it was promoted."""
+    if TransferGate(selector, min_observations=3).pre_gate(record) is not None:
+        return False
+    selector.promote([promoted_source(record)])
+    return True
+
+
 def _serve(selector, spec, seed: int) -> tuple[float, float, object]:
     session = selector.online(spec)
     rec = session.recommend("time")
@@ -126,19 +143,23 @@ def run(seed: int = DEFAULT_SEED) -> LifecycleResult:
         fingerprint=frozen_sel.knowledge_fingerprint(),
     )
 
-    # naive: absorb every structurally plausible session.
+    # naive: promote every session the structural pre-gate passes.
     naive_sel = _fresh_clone(seed)
-    cont = ContinualVesta(naive_sel, min_observations=3)
     naive_rows = []
     for spec in stream:
         mape, regret, session = _serve(naive_sel, spec, seed)
         naive_rows.append((mape, regret))
-        cont.absorb(session)
+        absorb_naive(
+            naive_sel,
+            record_from_session(
+                session, "time", fingerprint=naive_sel.knowledge_fingerprint()
+            ),
+        )
     naive = PolicyProgression(
         policy="naive",
         mapes=tuple(r[0] for r in naive_rows),
         regrets=tuple(r[1] for r in naive_rows),
-        admitted=tuple(cont.absorbed),
+        admitted=tuple(p.name for p in naive_sel.promotions),
         knowledge_rows=naive_sel.U.shape[0],
         fingerprint=naive_sel.knowledge_fingerprint(),
     )

@@ -7,7 +7,7 @@ requests actually runs against a selector is an execution backend:
   thread — the PR 5 behavior, and the determinism baseline.
 - :class:`ProcessPoolBackend` ships the wave to a dedicated worker
   process which serves it from a selector replica restored from a
-  memmap bundle (:func:`~repro.core.persistence.load_selector_memmap`).
+  memmap bundle (:func:`~repro.core.persistence.load_selector`).
   Replicas are cached per knowledge fingerprint, so a hot-reload swaps
   the worker's selector on the next wave, and the bundle's arrays are
   read-only memory maps — N workers share one page-cache copy of the
@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.artifacts import BUNDLE_META_FILE
-from repro.core.persistence import export_memmap_bundle, load_selector_memmap
+from repro.core.persistence import export_memmap_bundle, load_selector
 from repro.errors import FaultInjectionError, ReproError, ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -172,7 +172,7 @@ def _pool_worker(conn) -> None:
             selector = replicas.get(fingerprint)
             if selector is None:
                 replicas.clear()
-                selector = load_selector_memmap(bundle_dir)
+                selector = load_selector(bundle_dir)
                 replicas[fingerprint] = selector
             outcomes = _recommend_all(selector, requests)
         except ReproError as exc:

@@ -35,7 +35,7 @@ import zlib
 from collections.abc import Iterable
 from concurrent.futures import Future
 
-from repro.core.persistence import load_selector_memmap
+from repro.core.persistence import load_selector
 from repro.errors import ValidationError
 from repro.service.backend import BundleCache, InlineBackend, ProcessPoolBackend
 from repro.service.registry import SelectorHandle, SelectorRegistry
@@ -87,7 +87,7 @@ class _ShardRegistryView:
             and held.generation == base.generation
         ):
             return held
-        replica = load_selector_memmap(self._bundles.path_for(base))
+        replica = load_selector(self._bundles.path_for(base))
         handle = SelectorHandle(
             name=base.name,
             selector=replica,

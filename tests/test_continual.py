@@ -1,19 +1,18 @@
-"""Continual knowledge updating: naive absorption and the gated lifecycle.
+"""Continual knowledge updating: naive growth and the gated lifecycle.
 
-``core/continual.py`` (naive absorption, the paper's Section 4.2 sketch)
-was previously only exercised through ``tests/test_extensions.py``; this
-module owns it now, together with the production answer in
-``core/lifecycle.py`` — the measured-transferability gate that turns the
-documented knowledge-pollution caveat into an enforced invariant.
+Both policies of ``repro experiment ext_lifecycle`` grow a selector's
+knowledge only through :meth:`VestaSelector.promote`: naive growth
+(``absorb_naive``, the paper's Section 4.2 sketch) promotes whatever
+passes the structural pre-gate, while ``core/lifecycle.py``'s
+measured-transferability gate turns the documented knowledge-pollution
+caveat into an enforced invariant.
 """
 
-import copy
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core.continual import ContinualVesta
 from repro.core.lifecycle import (
     KnowledgeLifecycle,
     TransferGate,
@@ -23,6 +22,7 @@ from repro.core.persistence import clone_knowledge
 from repro.core.vesta import VestaSelector
 from repro.errors import ValidationError
 from repro.experiments.common import mape_vs_best, selection_regret
+from repro.experiments.ext_lifecycle import absorb_naive
 from repro.workloads.catalog import get_workload, target_set
 
 
@@ -51,56 +51,79 @@ def grown(fitted_vesta, target_records):
     return selector, report
 
 
+def _record(selector, name):
+    """Serve ``name`` on ``selector`` and journal the session."""
+    return record_from_session(
+        selector.online(get_workload(name)),
+        fingerprint=selector.knowledge_fingerprint(),
+    )
+
+
 class TestContinual:
-    def test_requires_fitted_selector(self):
+    """Naive growth: every pre-gated session goes through ``promote``."""
+
+    def test_requires_fitted_selector(self, target_records):
         with pytest.raises(ValidationError):
-            ContinualVesta(VestaSelector())
+            VestaSelector().promote([])
+        with pytest.raises(ValidationError):
+            absorb_naive(VestaSelector(), target_records[0])
 
     def test_absorb_grows_knowledge(self, fitted_vesta):
-        selector = copy.deepcopy(fitted_vesta)
-        cont = ContinualVesta(selector, min_observations=3)
-        before = cont.knowledge_size
-        session = selector.online(get_workload("spark-lr"))
-        assert cont.absorb(session)
-        assert cont.knowledge_size == before + 1
-        assert "spark-lr" in cont.absorbed
-        assert selector.perf.shape[0] == before + 1
-        assert selector.U.shape[0] == before + 1
+        selector = clone_knowledge(fitted_vesta)
+        before = selector.U.shape[0]
+        assert absorb_naive(selector, _record(selector, "spark-lr"))
+        assert selector.knowledge_names[-1] == "spark-lr"
+        assert [p.name for p in selector.promotions] == ["spark-lr"]
+        # Every knowledge array grows together; the sources do not.
+        for rows in (
+            selector.U.shape[0],
+            selector.perf.shape[0],
+            selector.source_factors.A.shape[0],
+            len(selector.knowledge_names),
+        ):
+            assert rows == before + 1
+        assert selector.sources == fitted_vesta.sources
         assert "spark-lr" in selector.graph.workload_names(target=False)
+        assert selector.knowledge_fingerprint() != (
+            fitted_vesta.knowledge_fingerprint()
+        )
 
     def test_absorb_is_idempotent_per_workload(self, fitted_vesta):
-        selector = copy.deepcopy(fitted_vesta)
-        cont = ContinualVesta(selector, min_observations=3)
-        s1 = selector.online(get_workload("spark-grep"))
-        assert cont.absorb(s1)
-        s2 = selector.online(get_workload("spark-grep"))
-        assert not cont.absorb(s2)
+        selector = clone_knowledge(fitted_vesta)
+        assert absorb_naive(selector, _record(selector, "spark-grep"))
+        again = _record(selector, "spark-grep")
+        assert TransferGate(selector).pre_gate(again) == "duplicate"
+        fingerprint = selector.knowledge_fingerprint()
+        assert not absorb_naive(selector, again)
+        assert selector.knowledge_fingerprint() == fingerprint
 
     def test_source_workloads_not_reabsorbed(self, fitted_vesta):
-        selector = copy.deepcopy(fitted_vesta)
-        cont = ContinualVesta(selector)
-        session = selector.online(get_workload("hadoop-terasort"))
-        assert not cont.absorb(session)
+        selector = clone_knowledge(fitted_vesta)
+        record = _record(selector, "hadoop-terasort")
+        assert TransferGate(selector).pre_gate(record) == "duplicate"
+        assert not absorb_naive(selector, record)
+        assert selector.promotions == ()
 
     def test_under_observed_session_rejected(self, fitted_vesta):
-        selector = copy.deepcopy(fitted_vesta)
-        cont = ContinualVesta(selector, min_observations=10)
-        session = selector.online(get_workload("spark-count"))  # 4 obs
-        assert not cont.absorb(session)
-
-    def test_onboard_returns_recommendation(self, fitted_vesta):
-        selector = copy.deepcopy(fitted_vesta)
-        cont = ContinualVesta(selector, min_observations=3)
-        rec = cont.onboard(get_workload("spark-bayes"))
-        assert rec.vm_name
-        assert "spark-bayes" in cont.absorbed
+        record = _record(fitted_vesta, "spark-count")
+        assert len(record.vm_names) == 4
+        gate = TransferGate(fitted_vesta, min_observations=10)
+        assert gate.pre_gate(record) == "under-observed"
+        assert TransferGate(fitted_vesta).pre_gate(record) is None
 
     def test_selection_still_works_after_absorption(self, fitted_vesta):
-        selector = copy.deepcopy(fitted_vesta)
-        cont = ContinualVesta(selector, min_observations=3)
-        cont.onboard(get_workload("spark-lr"))
+        selector = clone_knowledge(fitted_vesta)
+        assert absorb_naive(selector, _record(selector, "spark-lr"))
         rec = selector.select(get_workload("spark-kmeans"))
         assert rec.predicted_runtime_s > 0
+        # Grown knowledge stays a pipeline state: a plain refit profiles
+        # nothing and keeps the promotion.
+        computed = selector.campaign.counters.computed
+        fingerprint = selector.knowledge_fingerprint()
+        selector.refit()
+        assert selector.campaign.counters.computed == computed
+        assert selector.knowledge_fingerprint() == fingerprint
+        assert selector.U.shape[0] == len(fitted_vesta.sources) + 1
 
 
 class TestSessionRecords:
@@ -185,22 +208,22 @@ class TestTransferGate:
 
 
 class TestKnowledgeLifecycle:
-    """The pinned knowledge-pollution regression (bench_ext_continual.py
-    scenario): naive absorption admits every structurally plausible
-    session; the gate promotes only measured non-negative transfer, and
-    the grown knowledge never regresses the frozen baseline on
-    subsequent serves of the target suite."""
+    """The pinned knowledge-pollution regression: on the same journal,
+    naive growth promotes every structurally plausible session; the gate
+    promotes only measured non-negative transfer, and the grown knowledge
+    never regresses the frozen baseline on subsequent serves of the
+    target suite."""
 
     def test_gate_rejects_polluters_naive_absorption_admits(
-        self, fitted_vesta, grown
+        self, fitted_vesta, target_records, grown
     ):
-        naive = copy.deepcopy(fitted_vesta)
-        cont = ContinualVesta(naive, min_observations=3)
+        naive = clone_knowledge(fitted_vesta)
         admitted = [
-            spec.name
-            for spec in target_set()
-            if cont.absorb(fitted_vesta.online(spec))
+            record.workload
+            for record in target_records
+            if absorb_naive(naive, record)
         ]
+        assert [p.name for p in naive.promotions] == admitted
         _, report = grown
         # Same sessions, same evidence: naive takes everything...
         assert len(admitted) == len(target_set())

@@ -5,6 +5,7 @@ import pytest
 
 from repro.experiments import (
     ablations,
+    ext_crosscloud,
     fig01_heatmaps,
     fig03_overhead_curve,
     fig12_progression,
@@ -110,3 +111,11 @@ class TestTab05:
         assert len(result.ernest_probe_scales) == 3
         text = tab05_alternatives.format_table(result)
         assert "PARIS" in text and "Ernest" in text
+
+
+class TestCrossCloudTransfer:
+    def test_donor_signatures_reused_not_reprofiled(self, fitted_vesta):
+        vesta = ext_crosscloud._transferred_vesta(fitted_vesta, "azure", seed=7)
+        assert vesta.catalog.name == "azure"
+        assert vesta.stage_report["corr_signatures"].action == "memory"
+        np.testing.assert_array_equal(vesta.correlations, fitted_vesta.correlations)

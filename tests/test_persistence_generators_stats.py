@@ -1,17 +1,28 @@
 """Tests for model persistence, the workload generator, and stats helpers."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import bootstrap_mean_ci, mape, percentile_band
-from repro.core.persistence import FORMAT_VERSION, load_selector, save_selector
+from repro.core.persistence import (
+    FORMAT_VERSION,
+    archive_knowledge_fingerprint,
+    export_memmap_bundle,
+    load_selector,
+    save_selector,
+)
 from repro.core.vesta import VestaSelector
 from repro.errors import ValidationError
 from repro.frameworks.registry import simulate_run
 from repro.workloads.generators import ARCHETYPES, WorkloadGenerator
 from repro.workloads.catalog import get_workload
+
+V1_ARCHIVE = Path(__file__).parent / "data" / "vesta_v1.npz"
 
 
 class TestPersistence:
@@ -68,6 +79,95 @@ class TestPersistence:
         np.savez_compressed(tmp_path / "bad.npz", **arrays)
         with pytest.raises(ValidationError):
             load_selector(tmp_path / "bad.npz")
+
+
+def _with_meta(path, tmp_path, edit) -> Path:
+    """Copy of the archive at ``path`` whose metadata ``edit`` rewrites."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = edit(json.loads(bytes(arrays["meta"]).decode()))
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    out = tmp_path / "edited.npz"
+    np.savez_compressed(out, **arrays)
+    return out
+
+
+def _memmap_of(array):
+    """The ``np.memmap`` an array views, if any."""
+    while array is not None and not isinstance(array, np.memmap):
+        array = array.base
+    return array
+
+
+def _drop(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def _set(key, value):
+    return lambda meta: {**meta, key: value}
+
+
+def _set_hyperparam(key, value):
+    return lambda meta: {**meta, "hyperparams": {**meta["hyperparams"], key: value}}
+
+
+class TestArchiveUpgrade:
+    """Every archive goes through one upgrade-and-restore path."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: [meta],
+            _drop("hyperparams"),
+            _drop("repetitions"),
+            _set("stage_fingerprints", ["perf_matrix"]),
+            _set_hyperparam("k", "9"),
+            _set("promotions", [{"lineage": "x"}]),
+        ],
+        ids=[
+            "meta-not-object",
+            "no-hyperparams",
+            "no-repetitions",
+            "fingerprints-not-object",
+            "string-k",
+            "unnamed-promotion",
+        ],
+    )
+    def test_malformed_metadata_raises_validation_error(
+        self, fitted_vesta, tmp_path, edit
+    ):
+        path = save_selector(fitted_vesta, tmp_path / "vesta.npz")
+        broken = _with_meta(path, tmp_path, edit)
+        with pytest.raises(ValidationError):
+            load_selector(broken)
+        with pytest.raises(ValidationError):
+            archive_knowledge_fingerprint(broken)
+
+    def test_v1_archive_upgrades_without_adopting(self):
+        sel = load_selector(V1_ARCHIVE)
+        assert sel.knowledge_fingerprint() == "a1fdf45a9a6b40ce"
+        assert archive_knowledge_fingerprint(V1_ARCHIVE) is None
+        # No stage carries an archived fingerprint, so none is adopted;
+        # the factors are derived from the restored U/V.
+        assert sel.pipeline._memory == {}
+        assert sel.source_factors.A.shape == (len(sel.sources), sel.latent_dim)
+        assert (sel.label_width, sel.label_softness) == (0.05, 2)
+
+    def test_bundle_restore_shares_the_bundle_pages(self, fitted_vesta, tmp_path):
+        bundle = export_memmap_bundle(fitted_vesta, tmp_path / "bundle")
+        loaded = load_selector(bundle)
+        assert loaded.knowledge_fingerprint() == fitted_vesta.knowledge_fingerprint()
+        for name in ("perf", "U", "V", "near_best"):
+            array = getattr(loaded, name)
+            np.testing.assert_array_equal(array, getattr(fitted_vesta, name))
+            assert not array.flags.writeable, name
+            mapped = _memmap_of(array)
+            assert mapped is not None, name
+            assert Path(mapped.filename).parent == bundle.resolve(), name
+
+    def test_missing_bundle_raises_validation_error(self, tmp_path):
+        with pytest.raises(ValidationError):
+            load_selector(tmp_path)
 
 
 class TestWorkloadGenerator:
