@@ -153,17 +153,20 @@ def test_sharded_throughput_not_slower_than_single_shard(served):
     """The multi-shard row: 2 identity-routed shards vs one scheduler.
 
     Self-contained (measures its own single-shard run) so the gate
-    holds regardless of test ordering.  On a many-core box the shards
-    ride separate cores; on a single core they interleave — so the gate
+    holds regardless of test ordering.  Each shard ships its waves to
+    its own worker process, so on a multi-core box the two waves run in
+    parallel, outside the router's interpreter lock; on one core the
+    workers share it and pay the pipe and pickling on top — so the gate
     is "not slower" with a small tolerance for scheduling noise, while
     the ≥3x criterion is against the one-request-at-a-time single
-    worker, which sharding must beat by far even interleaved.
+    worker, which sharding must beat by far even on one core.
     """
     baseline, registry = served
 
     # Correctness guard before the clocks: K shards must answer exactly
-    # what sequential serving answers.  Sharding halves each worker's
-    # arrival rate, so the shard flushes opportunistically (wait 0:
+    # what sequential serving answers (it also loads each worker's
+    # replica and warms its profiling memo).  Sharding halves each
+    # worker's arrival rate, so the shard flushes opportunistically (wait 0:
     # coalesce whatever is queued, never hold the window open) — the
     # single scheduler keeps its tuned 2ms window.
     # Memo cache off on both sides: with it on, every repeat is a cache

@@ -3,7 +3,9 @@
 # archive with 2 scheduler shards, run one HTTP /select, and assert the
 # payload is exactly the recommendation `repro select --archive --json`
 # prints for the same archive — the service's bit-identity guarantee
-# (sharded tier included), checked over the wire.
+# (sharded tier included), checked over the wire.  /statsz must then show
+# that the 2 shards run in 2 worker processes outside the server's
+# interpreter, and that only the routed shard's worker served a wave.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,7 +51,7 @@ python -m repro serve --archive "$ARCHIVE" --port "$PORT" --shards 2 \
     > "$WORKDIR/serve.log" 2>&1 &
 SERVER_PID=$!
 
-if ! python - "$WORKLOAD" "$PORT" "$WORKDIR/cli.json" <<'PY'
+if ! python - "$WORKLOAD" "$PORT" "$WORKDIR/cli.json" "$SERVER_PID" <<'PY'
 import json
 import sys
 import time
@@ -57,6 +59,7 @@ from urllib.error import URLError
 from urllib.request import Request, urlopen
 
 workload, port, cli_path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+server_pid = int(sys.argv[4])
 base = f"http://127.0.0.1:{port}"
 for _ in range(120):
     try:
@@ -98,6 +101,28 @@ with open(cli_path + ".catalog") as fh:
 print(
     f"served catalog == registry catalog: {served['catalog']} "
     f"({served['catalog_fingerprint']})"
+)
+
+rows = stats["schedulers"]["default"]["per_shard"]
+backends = [row["backend"] for row in rows]
+pids = {backend.get("pid") for backend in backends}
+waves = [backend.get("waves") for backend in backends]
+expected_waves = [int(i == payload["batch"]["shard"]) for i in range(2)]
+if (
+    len(rows) != 2
+    or any(b["name"] != "pool" or not b.get("alive") for b in backends)
+    or len(pids) != 2
+    or server_pid in pids
+    or waves != expected_waves
+):
+    sys.exit(
+        "--shards 2 did not serve from 2 live worker processes "
+        f"(server pid {server_pid}, expected waves {expected_waves}):\n"
+        f"  {backends}"
+    )
+print(
+    f"2 shards in worker processes {sorted(pids)} "
+    f"(server pid {server_pid}), waves {waves}"
 )
 PY
 then

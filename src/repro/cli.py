@@ -228,20 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--shards", type=int, default=1,
-        help="scheduler shards; requests route by workload identity and "
-             "each shard serves a memmap-shared knowledge replica "
-             "(default: 1)",
+        help="scheduler shards; K > 1 runs K worker processes, requests "
+             "route by workload identity and each worker serves a "
+             "memmap-shared knowledge replica (default: 1)",
     )
     p_srv.add_argument(
         "--rec-cache", type=int, default=512, metavar="N",
         help="recommendation memo-cache entries per scheduler shard, keyed "
              "by (knowledge fingerprint, catalog fingerprint, workload, "
              "objective); 0 disables (default: 512)",
-    )
-    p_srv.add_argument(
-        "--pool", action="store_true",
-        help="execute each shard's waves in a dedicated worker process "
-             "(knowledge shared read-only via memory-mapped bundles)",
     )
     p_srv.add_argument(
         "--cmf-mode", choices=("full", "foldin"), default=None,
@@ -269,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--learn", action="store_true",
         help="journal served sessions and promote measured-transfer "
              "candidates into the served knowledge in the background "
-             "(inline serving only)",
+             "(requires --shards 1)",
     )
     p_srv.add_argument(
         "--learn-store", default=None, metavar="PATH",
@@ -650,7 +645,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_wait_ms=args.max_wait_ms,
         queue_limit=args.queue_limit,
         shards=args.shards,
-        pool=args.pool,
         rec_cache_size=args.rec_cache,
         learn=args.learn,
         learn_store=args.learn_store,
@@ -661,8 +655,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     host, port = server.address
     tier = f"{args.shards} shard{'s' if args.shards != 1 else ''}"
-    if args.pool:
-        tier += " (process pool)"
     print(f"serving selector 'default' (fingerprint {handle.fingerprint}, "
           f"catalog={vesta.catalog.name}, cmf_mode={vesta.cmf_mode}, {tier}) "
           f"on http://{host}:{port}")

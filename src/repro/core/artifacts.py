@@ -284,8 +284,8 @@ class ArtifactStore:
 
 # -- memmap-able stage bundles -------------------------------------------------
 #
-# The serving tier shares frozen knowledge across shard replicas and
-# worker processes.  The ``.npz`` serialization above cannot serve that
+# The serving tier shares frozen knowledge across its shards' worker
+# processes.  The ``.npz`` serialization above cannot serve that
 # purpose: its members are DEFLATE streams that every process must
 # decompress into private pages.  A *memmap bundle* stores the same
 # named arrays as raw ``.npy`` files in a directory, so every consumer

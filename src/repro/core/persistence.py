@@ -203,7 +203,7 @@ def export_memmap_bundle(selector: VestaSelector, directory: str | Path) -> Path
 
     The serving tier's sharing format: the same per-stage arrays a
     version-2 ``.npz`` archive holds, but stored as raw ``.npy`` files
-    so shard replicas and pool worker processes open them read-only via
+    so the shards' worker processes open them read-only via
     ``numpy.memmap`` and share one page-cache copy instead of each
     decompressing a private one.  :func:`load_selector` restores it.
 

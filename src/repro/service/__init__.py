@@ -10,9 +10,8 @@ selection in):
   worker coalescing concurrent requests into batched online waves,
   bit-identical to sequential serving;
 - :mod:`repro.service.shards` / :mod:`repro.service.backend` — the
-  sharded tier: K schedulers routed by workload identity, serving from
-  memmap-shared knowledge replicas, inline or in per-shard worker
-  processes;
+  sharded tier: K schedulers routed by workload identity, each running
+  its waves in its own worker process over memmap-shared knowledge;
 - :mod:`repro.service.server` / :mod:`repro.service.client` — stdlib
   JSON-over-HTTP frontend (``/select``, ``/healthz``, ``/statsz``) and
   its in-process client;

@@ -4,10 +4,12 @@ The scheduler owns admission, coalescing and deadlines; *how* a wave of
 requests actually runs against a selector is an execution backend:
 
 - :class:`InlineBackend` serves the wave on the scheduler's own worker
-  thread — the PR 5 behavior, and the determinism baseline.
+  thread against the live handle — the unsharded scheduler's backend,
+  and the determinism baseline.
 - :class:`ProcessPoolBackend` ships the wave to a dedicated worker
   process which serves it from a selector replica restored from a
-  memmap bundle (:func:`~repro.core.persistence.load_selector`).
+  memmap bundle (:func:`~repro.core.persistence.load_selector`); each
+  shard of a :class:`~repro.service.shards.ShardRouter` owns one.
   Replicas are cached per knowledge fingerprint, so a hot-reload swaps
   the worker's selector on the next wave, and the bundle's arrays are
   read-only memory maps — N workers share one page-cache copy of the
@@ -21,8 +23,8 @@ single scheduler thread; they are not reentrant.
 
 :class:`BundleCache` is the bridge between live handles and worker
 processes: it exports each selector's knowledge as a memmap bundle at
-most once per fingerprint under one root directory, which shard
-replicas and pool workers then open read-only.
+most once per fingerprint under one root directory, which pool workers
+then open read-only.
 """
 
 from __future__ import annotations
@@ -90,10 +92,10 @@ class BundleCache:
     """Export-once-per-fingerprint memmap bundles under one root.
 
     The first request for a fingerprint exports the handle's knowledge
-    (``<root>/<fingerprint>/``); later requests — from any shard or
-    backend sharing this cache — reuse the committed bundle.  Bundles
-    are never deleted while the cache lives, so a worker may keep
-    serving from a superseded version's maps until its next wave.
+    (``<root>/<fingerprint>/``); later requests — from any backend
+    sharing this cache — reuse the committed bundle.  Bundles are never
+    deleted while the cache lives, so a worker may keep serving from a
+    superseded version's maps until its next wave.
     """
 
     def __init__(self, root: str | Path | None = None) -> None:
@@ -190,7 +192,7 @@ class ProcessPoolBackend:
     """Serve waves in a dedicated worker process over memmap bundles.
 
     One worker per backend instance (each shard owns its backend, so a
-    K-shard pool tier runs K worker processes).  The worker is started
+    K-shard router runs K worker processes).  The worker is started
     with the ``spawn`` method — safe next to the scheduler's live
     threads — and loads selector replicas from the shared
     :class:`BundleCache`, so all workers map the same knowledge pages.

@@ -4,7 +4,8 @@ The serving half of the knowledge lifecycle
 (:mod:`repro.core.lifecycle`).  Two pieces:
 
 - :class:`SessionJournal` — the scheduler-side observation hook.  Wired
-  into the inline backend as ``journal(handle, session, objective)``, it
+  into the unsharded scheduler's inline backend as
+  ``journal(handle, session, objective)``, it
   freezes every served session into a
   :class:`~repro.telemetry.store.SessionRecord` stamped with the
   knowledge fingerprint that served it, and appends it to the
@@ -18,10 +19,11 @@ The serving half of the knowledge lifecycle
   :class:`~repro.core.lifecycle.KnowledgeLifecycle` cycle over the
   journal, and — only when something was actually promoted — registers
   the grown clone, which atomically bumps the registry generation.
-  Every shard's replica view and both serving caches key on the
-  knowledge fingerprint, so the reload propagates fleet-wide on the next
-  wave without pausing serving and without ever mixing knowledge
-  versions within a response.
+  The scheduler serves the new handle from its next wave on, and both
+  serving caches key on the knowledge fingerprint, so the reload lands
+  without pausing serving and without ever mixing knowledge versions
+  within a response.  Learning needs the sessions in this process, so
+  it runs only on an unsharded scheduler.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ DEFAULT_JOURNAL_LIMIT = 2048
 class SessionJournal:
     """Append served sessions to the MetricsStore session log.
 
-    Called from scheduler worker threads (one per shard); the store
-    serializes writes internally and this class only adds counters, so
-    one journal instance is safely shared by the whole fleet.
+    Called from the scheduler's worker thread while ``/statsz`` reads
+    :meth:`stats` from handler threads; the store serializes writes
+    internally and this class guards its counters with a lock.
     """
 
     def __init__(
@@ -88,7 +90,7 @@ class LearningLoop:
     registry:
         The serving registry; promotions re-register ``selector`` there.
     journal:
-        The fleet's shared :class:`SessionJournal`.
+        The serving scheduler's :class:`SessionJournal`.
     selector:
         Registry name whose knowledge this loop grows.
     interval_s:
@@ -193,9 +195,9 @@ class LearningLoop:
         )
         report = lifecycle.advance(records)
         if report.promoted:
-            # Atomic fleet-wide swap: the registry bumps the generation,
-            # every shard replica view rebuilds on its next wave, and
-            # both serving caches miss by fingerprint construction.
+            # Atomic swap: the registry bumps the generation, the next
+            # wave serves the new handle, and both serving caches miss
+            # by fingerprint construction.
             self.registry.register(self.selector_name, clone)
         with self._lock:
             self._cycles += 1

@@ -4,8 +4,10 @@ Concurrent ``select`` requests enqueue into a bounded buffer; a single
 worker thread drains it, coalescing whatever is waiting (up to
 ``max_batch``, flushed after ``max_wait_ms``) into **one** batched
 online wave, executed by a pluggable backend
-(:mod:`repro.service.backend`): inline on the worker thread, or shipped
-to a dedicated worker process serving from memmap-shared knowledge.
+(:mod:`repro.service.backend`): inline on the worker thread for a
+standalone scheduler, or, for each shard of a
+:class:`~repro.service.shards.ShardRouter`, shipped to a dedicated
+worker process serving from memmap-shared knowledge.
 Either way the wave is :meth:`VestaSelector.online_many`, whose results
 are proven bit-identical to opening the sessions one at a time.  Because
 one worker alone drives the selector, any client concurrency collapses
@@ -131,8 +133,8 @@ class MicroBatchScheduler:
     ----------
     registry:
         Source of :class:`SelectorHandle` snapshots.  Anything with a
-        ``get(name)`` returning handles works — shard routers pass
-        per-shard replica views.
+        ``get(name)`` returning handles works; every shard of a router
+        reads the same base registry.
     selector:
         Registry name served by this scheduler.
     max_batch:
@@ -200,7 +202,7 @@ class MicroBatchScheduler:
         self.queue_limit = queue_limit
         # ``journal`` only applies to the default inline backend: pool
         # workers keep their sessions process-local (SelectionService
-        # rejects learn+pool up front for exactly this reason).
+        # rejects learning with shards > 1 for exactly this reason).
         self.backend = (
             backend if backend is not None else InlineBackend(journal=journal)
         )
@@ -364,16 +366,13 @@ class MicroBatchScheduler:
     def _serve_from_cache(self, spec: WorkloadSpec, objective: str) -> Future | None:
         """Complete a submit from the memo cache; ``None`` on a miss.
 
-        The lookup resolves the *base* registry handle (``peek`` — shard
-        replica views must not be touched from submitting threads), so a
-        reload that already swapped the base handle misses here even if
-        this shard's replica has not caught up yet — the conservative
-        direction.
+        The lookup resolves the registry's current handle, so a reload
+        that already swapped it misses here even if the worker has not
+        served the new version yet — the conservative direction.
         """
         started = time.monotonic()
         try:
-            lookup = getattr(self.registry, "peek", None) or self.registry.get
-            handle = lookup(self.selector_name)
+            handle = self.registry.get(self.selector_name)
             key = self._cache_key_for(handle, spec.name, objective)
         except (ReproError, AttributeError):
             # Unknown selector (the wave will surface the error exactly

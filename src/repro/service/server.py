@@ -64,10 +64,14 @@ class SelectionService:
     The composition root of the serving subsystem: owns scheduler
     lifecycle (created lazily per registered name, torn down on
     :meth:`close`) and translates requests into scheduler submissions.
-    With ``shards > 1`` or ``pool=True`` each name is served by a
-    :class:`~repro.service.shards.ShardRouter` instead of a single
+    With ``shards > 1`` each name is served by a
+    :class:`~repro.service.shards.ShardRouter`, whose shards run their
+    waves in ``spawn`` worker processes, instead of a single
     :class:`MicroBatchScheduler`; the two expose the same surface, so
     nothing downstream changes (``queue_limit`` etc. become per-shard).
+    A script that builds one with ``shards > 1`` must guard its entry
+    point with ``if __name__ == "__main__":``, since each spawned worker
+    re-imports the script's main module.
     """
 
     def __init__(
@@ -79,8 +83,6 @@ class SelectionService:
         max_wait_ms: float = 2.0,
         queue_limit: int = 128,
         shards: int = 1,
-        pool: bool = False,
-        bundle_root: str | None = None,
         rec_cache_size: int = 512,
         learn: bool = False,
         learn_store: MetricsStore | str | None = None,
@@ -91,13 +93,13 @@ class SelectionService:
     ) -> None:
         if shards < 1:
             raise ValidationError(f"shards must be >= 1, got {shards}")
-        if learn and pool:
-            # Pool-backend sessions live (and die) in the worker
-            # process; nothing journallable ever crosses back, so
-            # learn+pool would silently learn nothing.  Refuse loudly.
+        if learn and shards > 1:
+            # Shard sessions live (and die) in their worker processes;
+            # nothing journallable ever crosses back, so learning over
+            # shards would silently learn nothing.  Refuse loudly.
             raise ValidationError(
-                "learning requires inline serving: --pool sessions cannot "
-                "be journalled"
+                "learning requires a single scheduler (shards=1): sharded "
+                "sessions run in worker processes and cannot be journalled"
             )
         self.registry = registry
         self.default_selector = default_selector
@@ -105,8 +107,6 @@ class SelectionService:
         self.max_wait_ms = max_wait_ms
         self.queue_limit = queue_limit
         self.shards = shards
-        self.pool = pool
-        self.bundle_root = bundle_root
         self.rec_cache_size = rec_cache_size
         self._lock = threading.Lock()
         self._schedulers: dict[str, MicroBatchScheduler | ShardRouter] = {}
@@ -134,7 +134,7 @@ class SelectionService:
             )
 
     def _build(self, name: str) -> MicroBatchScheduler | ShardRouter:
-        if self.shards == 1 and not self.pool:
+        if self.shards == 1:
             return MicroBatchScheduler(
                 self.registry,
                 name,
@@ -148,13 +148,10 @@ class SelectionService:
             self.registry,
             name,
             shards=self.shards,
-            pool=self.pool,
             max_batch=self.max_batch,
             max_wait_ms=self.max_wait_ms,
             queue_limit=self.queue_limit,
-            bundle_root=self.bundle_root,
             rec_cache_size=self.rec_cache_size,
-            journal=self._journal,
         )
 
     def scheduler(self, name: str | None = None) -> MicroBatchScheduler | ShardRouter:
@@ -204,9 +201,8 @@ class SelectionService:
                 for name, info in described.items()
             },
             "schedulers": {name: s.stats() for name, s in schedulers.items()},
-            # Fleet-wide lifecycle counters: one journal and one
-            # promoter serve every shard, so no per-shard summing is
-            # needed here — the counters are already fleet totals.
+            # Counters of the one journal and promoter: learning runs
+            # only on an unsharded scheduler.
             "learning": (
                 self._learning.stats()
                 if self._learning is not None

@@ -11,22 +11,20 @@ profiling/session state stays shard-local and warm, and no two shards
 ever race on the same workload's campaign memo.
 
 Shards do not share a live selector — :class:`VestaSelector` online
-sessions mutate per-selector state, so concurrent shards over one
-instance would race.  Instead the base registry's knowledge is exported
-once per fingerprint as a memmap bundle
-(:class:`~repro.service.backend.BundleCache`) and every shard serves
-from its own replica restored over those read-only maps
-(:class:`_ShardRegistryView`): K shards, K private session states, one
-shared page-cache copy of the frozen knowledge.  With ``pool=True`` the
-replica lives in a dedicated worker *process* per shard
-(:class:`~repro.service.backend.ProcessPoolBackend`) instead of the
-shard's thread, sharing pages the same way across process boundaries.
+sessions mutate per-selector state, and K scheduler threads under one
+interpreter lock would not compute in parallel anyway.  Instead every
+shard ships its waves to its own worker *process*
+(:class:`~repro.service.backend.ProcessPoolBackend`), which serves from
+a replica restored over a memmap bundle of the base registry's
+knowledge, exported once per fingerprint
+(:class:`~repro.service.backend.BundleCache`): K shards, K worker
+processes, one shared page-cache copy of the frozen knowledge.
 
 Hot-reload flows through fingerprints: each wave snapshots the base
-handle, and a shard whose replica's fingerprint or generation no longer
-matches rebuilds it from the (new) bundle before serving — so no
-response ever mixes knowledge versions, exactly the single-scheduler
-contract.
+handle and ships its fingerprint with the wave, and a worker whose
+replica no longer matches reloads it from the (new) bundle before
+serving — so no response ever mixes knowledge versions, exactly the
+single-scheduler contract.
 """
 
 from __future__ import annotations
@@ -35,10 +33,9 @@ import zlib
 from collections.abc import Iterable
 from concurrent.futures import Future
 
-from repro.core.persistence import load_selector
 from repro.errors import ValidationError
-from repro.service.backend import BundleCache, InlineBackend, ProcessPoolBackend
-from repro.service.registry import SelectorHandle, SelectorRegistry
+from repro.service.backend import BundleCache, ProcessPoolBackend
+from repro.service.registry import SelectorRegistry
 from repro.service.scheduler import MicroBatchScheduler, SelectResponse
 from repro.telemetry.latency import DurationSummary
 from repro.workloads.catalog import get_workload
@@ -52,60 +49,15 @@ def shard_for(workload_name: str, shards: int) -> int:
     return zlib.crc32(workload_name.encode()) % shards
 
 
-class _ShardRegistryView:
-    """Per-shard registry adapter serving memmap replicas of base handles.
-
-    ``get`` resolves the *base* handle (so reload atomicity and
-    fingerprint gating stay the registry's job), then returns a handle
-    wrapping this shard's private replica of that knowledge version —
-    restored from the shared bundle cache on first sight and whenever
-    the base fingerprint or generation moves.  Only the shard's single
-    worker thread calls ``get``, so no locking is needed here.
-    """
-
-    def __init__(self, base: SelectorRegistry, bundles: BundleCache) -> None:
-        self._base = base
-        self._bundles = bundles
-        self._replicas: dict[str, SelectorHandle] = {}
-
-    def peek(self, name: str) -> SelectorHandle:
-        """The *base* handle, without touching this shard's replica.
-
-        Safe from any thread — the scheduler's memo-cache lookup runs on
-        submitting threads and must never trigger (or race) a replica
-        rebuild, which only the shard's worker thread may do via
-        :meth:`get`.
-        """
-        return self._base.get(name)
-
-    def get(self, name: str) -> SelectorHandle:
-        base = self._base.get(name)
-        held = self._replicas.get(name)
-        if (
-            held is not None
-            and held.fingerprint == base.fingerprint
-            and held.generation == base.generation
-        ):
-            return held
-        replica = load_selector(self._bundles.path_for(base))
-        handle = SelectorHandle(
-            name=base.name,
-            selector=replica,
-            fingerprint=base.fingerprint,
-            generation=base.generation,
-            registered_at=base.registered_at,
-        )
-        self._replicas[name] = handle
-        return handle
-
-
 class ShardRouter:
     """Route selection requests across K scheduler shards.
 
     Exposes the scheduler's surface (``submit``/``select``/
     ``select_all``/``stats``/``close``), so the HTTP frontend drives a
     router exactly like a single scheduler.  ``queue_limit``,
-    ``max_batch`` and ``max_wait_ms`` are per shard.
+    ``max_batch`` and ``max_wait_ms`` are per shard.  Each shard owns
+    one :class:`~repro.service.backend.ProcessPoolBackend`, so a router
+    starts K ``spawn`` worker processes.
 
     Parameters
     ----------
@@ -113,12 +65,6 @@ class ShardRouter:
         The base registry; reloads through it propagate to every shard.
     shards:
         Number of scheduler shards (>= 1).
-    pool:
-        Execute waves in one dedicated worker process per shard instead
-        of the shard's thread.
-    bundle_root:
-        Directory for the shared memmap bundles (a temp directory owned
-        by the router when omitted).
     rec_cache_size:
         Per-shard recommendation memo-cache bound (see
         :class:`MicroBatchScheduler`); identity routing keeps each
@@ -132,58 +78,31 @@ class ShardRouter:
         selector: str = "default",
         *,
         shards: int = 2,
-        pool: bool = False,
         max_batch: int = 16,
         max_wait_ms: float = 2.0,
         queue_limit: int = 128,
-        bundle_root: str | None = None,
         rec_cache_size: int = 512,
-        journal=None,
-        start: bool = True,
     ) -> None:
         if shards < 1:
             raise ValidationError(f"shards must be >= 1, got {shards}")
         self.registry = registry
         self.selector_name = selector
-        self.pool = pool
-        self._bundles = BundleCache(bundle_root)
-        self._shards: list[MicroBatchScheduler] = []
-        for index in range(shards):
-            if pool:
-                backend = ProcessPoolBackend(self._bundles)
-                shard_registry = registry
-            else:
-                # One shared journal across shards: each shard serves its
-                # own replica, but sessions from every shard land in the
-                # same lifecycle journal (fingerprint-stamped per wave).
-                backend = InlineBackend(journal=journal)
-                # A single inline shard is the unsharded scheduler: let
-                # it serve the live handle directly, no replica needed.
-                shard_registry = (
-                    registry
-                    if shards == 1
-                    else _ShardRegistryView(registry, self._bundles)
-                )
-            self._shards.append(
-                MicroBatchScheduler(
-                    shard_registry,
-                    selector,
-                    max_batch=max_batch,
-                    max_wait_ms=max_wait_ms,
-                    queue_limit=queue_limit,
-                    backend=backend,
-                    shard=index,
-                    rec_cache_size=rec_cache_size,
-                    start=start,
-                )
+        self._bundles = BundleCache()
+        self._shards = [
+            MicroBatchScheduler(
+                registry,
+                selector,
+                max_batch=max_batch,
+                max_wait_ms=max_wait_ms,
+                queue_limit=queue_limit,
+                backend=ProcessPoolBackend(self._bundles),
+                shard=index,
+                rec_cache_size=rec_cache_size,
             )
+            for index in range(shards)
+        ]
 
     # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        """Start every shard's worker thread (idempotent)."""
-        for shard in self._shards:
-            shard.start()
 
     def close(self, timeout_s: float = 10.0) -> None:
         """Close every shard (and its backend), then the bundle cache."""
@@ -272,7 +191,6 @@ class ShardRouter:
         return {
             "selector": self.selector_name,
             "shards": len(self._shards),
-            "pool": self.pool,
             "queue_limit": first["queue_limit"],
             "max_batch": first["max_batch"],
             "max_wait_ms": first["max_wait_ms"],

@@ -2,10 +2,11 @@
 
 Pins the lifecycle's serving contract: with learning off the service is
 byte-identical to the learning-free build (no journal hook, no promotion
-fingerprints); with learning on, served sessions are journalled
-fleet-wide, the background promoter grows knowledge only through the
-measured-transfer gate, and a promotion hot-reloads every shard without
-ever mixing knowledge fingerprints within a response.
+fingerprints); learning requires a single scheduler; with learning on,
+served sessions are journalled, the background promoter grows knowledge
+only through the measured-transfer gate, and a promotion hot-reloads
+every shard without ever mixing knowledge fingerprints within a
+response.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class TestLearningOffByteIdentity:
 
     def test_learn_requires_inline_serving(self, selector):
         with pytest.raises(ValidationError):
-            SelectionService(_registry(selector), learn=True, pool=True)
+            SelectionService(_registry(selector), learn=True, shards=2)
 
 
 class TestSessionJournal:
@@ -109,15 +110,6 @@ class TestSessionJournal:
                 assert record.workload in TARGETS
                 assert record.fingerprint == fingerprint
                 assert (record.observed > 0).all()
-
-    def test_all_shards_share_one_journal(self, selector):
-        with MetricsStore(":memory:") as store, SelectionService(
-            _registry(selector), shards=2, learn=True, learn_store=store,
-            learn_interval_s=3600.0,
-        ) as service:
-            responses = [service.select(name) for name in TARGETS]
-            assert {r.shard for r in responses} == {0, 1}
-            assert store.session_count() == len(TARGETS)
 
     def test_journal_failure_never_fails_the_response(self, selector):
         class BrokenStore:
@@ -217,8 +209,9 @@ class TestLearningLoop:
 class TestHotReloadNeverMixesFingerprints:
     def test_promotion_reload_is_atomic_across_shards(self, selector):
         """The promoter's swap (``registry.register``) must propagate to
-        every shard replica, and each response must be served wholly by
-        one knowledge version — exactly what its fingerprint claims."""
+        every shard's worker replica, and each response must be served
+        wholly by one knowledge version — exactly what its fingerprint
+        claims."""
         promoted = clone_knowledge(selector)
         promoted.promote(
             [

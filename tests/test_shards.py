@@ -2,7 +2,8 @@
 
 Covers the shard router (workload-identity routing, multi-shard
 bit-identity to sequential serving at mixed concurrency, hot-reload
-version isolation, the process-pool backend over memmap bundles), the
+version isolation, each shard's process-pool backend over memmap
+bundles and the worker's per-fingerprint replica cache), the
 scheduler's deadline enforcement at both ends of a wave, deadline-based
 load-shedding under overload, the 429 retry hint on the wire, and the
 thread safety of :class:`DurationSummary`.
@@ -11,6 +12,7 @@ thread safety of :class:`DurationSummary`.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import threading
@@ -37,7 +39,8 @@ from repro.service import (
     ServiceClient,
     ShardRouter,
 )
-from repro.service.backend import BundleCache, ProcessPoolBackend
+from repro.service import backend as backend_module
+from repro.service.backend import BundleCache, InlineBackend, ProcessPoolBackend
 from repro.service.server import serve
 from repro.service.shards import shard_for
 from repro.telemetry.latency import DurationSummary
@@ -96,18 +99,28 @@ class TestShardRouting:
 
     def test_responses_come_from_the_routed_shard(self, registry, reference):
         with ShardRouter(registry, shards=4, max_wait_ms=1.0) as router:
-            for name in TARGETS:
-                response = router.select(name)
+            for name, response in zip(TARGETS, router.select_all(TARGETS)):
                 assert response.shard == router.shard_for(name)
                 _assert_matches_reference(
                     response.recommendation, reference[(name, "time")]
                 )
 
-    def test_single_shard_serves_the_live_handle(self, registry, selector):
-        # K=1 inline is the unsharded scheduler: no replica indirection.
-        with ShardRouter(registry, shards=1, max_wait_ms=1.0) as router:
-            handle = router.shards[0].registry.get("default")
-            assert handle.selector is selector
+    def test_service_builds_one_scheduler_or_a_pool_fleet(
+        self, registry, selector
+    ):
+        # shards=1 is the plain scheduler serving the live handle inline;
+        # shards>1 is a router whose every shard owns a worker process.
+        with SelectionService(registry) as service:
+            sched = service.scheduler()
+            assert type(sched) is MicroBatchScheduler
+            assert isinstance(sched.backend, InlineBackend)
+            assert sched.registry.get("default").selector is selector
+        with SelectionService(registry, shards=2) as service:
+            router = service.scheduler()
+            assert isinstance(router, ShardRouter)
+            assert len(router.shards) == 2
+            for shard in router.shards:
+                assert isinstance(shard.backend, ProcessPoolBackend)
 
 
 class TestShardBitIdentity:
@@ -129,41 +142,28 @@ class TestShardBitIdentity:
                 responses = list(
                     pool.map(lambda r: router.select(*r), requests)
                 )
+                # A second pass must find every worker alive, unreplaced.
+                responses += pool.map(lambda r: router.select(*r), requests)
             stats = router.stats()
-        for (name, objective), response in zip(requests, responses):
+        for (name, objective), response in zip(requests * 2, responses):
             _assert_matches_reference(
                 response.recommendation, reference[(name, objective)]
             )
             assert response.fingerprint == registry.get("default").fingerprint
-        assert stats["completed"] == len(requests)
+        assert stats["completed"] == len(responses)
         assert stats["rejected"] == 0 and stats["shed"] == 0
-        assert stats["latency"]["count"] == len(requests)
+        assert stats["latency"]["count"] == len(responses)
         assert len(stats["per_shard"]) == shards
         served_shards = {response.shard for response in responses}
         assert served_shards == {
             shard_for(name, shards) for name, _ in requests
         }
-
-    def test_pool_backend_equals_sequential(self, registry, reference):
-        requests = [(name, "time") for name in TARGETS]
-        with ShardRouter(
-            registry, shards=2, pool=True, max_batch=4, max_wait_ms=2.0
-        ) as router:
-            responses = router.select_all([name for name, _ in requests])
-            # A second pass hits the workers' cached replicas.
-            repeat = router.select_all([name for name, _ in requests])
-            stats = router.stats()
-        for (name, objective), response in zip(requests, responses):
-            _assert_matches_reference(
-                response.recommendation, reference[(name, objective)]
-            )
-        for (name, objective), response in zip(requests, repeat):
-            _assert_matches_reference(
-                response.recommendation, reference[(name, objective)]
-            )
-        assert stats["pool"] is True
-        for row in stats["per_shard"]:
-            assert row["backend"]["name"] == "pool"
+        backends = [row["backend"] for row in stats["per_shard"]]
+        pids = {backend["pid"] for backend in backends}
+        assert len(pids) == shards and os.getpid() not in pids
+        for backend in backends:
+            assert backend["name"] == "pool"
+            assert backend["alive"] and backend["restarts"] == 0
 
 
 class TestPoolBackendRecovery:
@@ -228,6 +228,59 @@ class TestPoolBackendRecovery:
             backend.run(handle, self._wave(TARGETS[:2])), TARGETS[:2], reference
         )
         assert backend.describe()["restarts"] == 0
+
+
+class TestPoolWorkerReplicaCache:
+    def test_worker_reloads_only_when_the_fingerprint_moves(
+        self, registry, reference, tmp_path, monkeypatch
+    ):
+        """The worker loop, driven in-process: waves for fingerprints
+        A, A, B, A restore 3 replicas, and every answer is its own
+        version's sequential answer."""
+        other = _fresh_selector(k=5)
+        handle_a = registry.get("default")
+        handle_b = SelectorRegistry().register("default", other)
+        assert handle_a.fingerprint != handle_b.fingerprint
+        names = TARGETS[:3]
+        expected = {
+            handle_a.fingerprint: [reference[(n, "time")] for n in names],
+            handle_b.fingerprint: [
+                other.select(get_workload(n)) for n in names
+            ],
+        }
+        loads: list[str] = []
+        real_load = backend_module.load_selector
+
+        def counting_load(path):
+            loads.append(str(path))
+            return real_load(path)
+
+        monkeypatch.setattr(backend_module, "load_selector", counting_load)
+        bundles = BundleCache(tmp_path / "bundles")
+        parent, child = multiprocessing.Pipe()
+        worker = threading.Thread(
+            target=backend_module._pool_worker, args=(child,), daemon=True
+        )
+        worker.start()
+        try:
+            for handle in (handle_a, handle_a, handle_b, handle_a):
+                parent.send((
+                    str(bundles.path_for(handle)),
+                    handle.fingerprint,
+                    [(get_workload(n), "time") for n in names],
+                ))
+                assert parent.poll(120), "worker never answered the wave"
+                outcomes = parent.recv()
+                assert len(outcomes) == len(names)
+                for outcome, want in zip(outcomes, expected[handle.fingerprint]):
+                    _assert_matches_reference(outcome, want)
+        finally:
+            parent.send(None)
+            worker.join(timeout=30)
+            parent.close()
+            child.close()
+        assert not worker.is_alive()
+        assert len(loads) == 3
 
 
 class TestShardHotReload:

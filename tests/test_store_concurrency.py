@@ -147,8 +147,8 @@ class TestMetricsStoreConcurrency:
 
 class TestSessionLogRetention:
     """Bounded session journal: deterministic oldest-first eviction even
-    under concurrent writers (the serving fleet journals from every
-    shard's worker thread through one shared store)."""
+    under concurrent writers and readers sharing one store (the serving
+    scheduler journals while the learning loop and ``/statsz`` read)."""
 
     def test_roundtrip_preserves_record(self, tmp_path):
         store = MetricsStore(str(tmp_path / "m.db"))
