@@ -6,6 +6,8 @@
 # (sharded tier included), checked over the wire.  /statsz must then show
 # that the 2 shards run in 2 worker processes outside the server's
 # interpreter, and that only the routed shard's worker served a wave.
+# The server runs with its own TMPDIR, which must still be empty after a
+# SIGTERM: the workers get their knowledge through their pipes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +20,8 @@ SERVER_PID=""
 trap '[ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null; rm -rf "$WORKDIR"' EXIT
 
 ARCHIVE="$WORKDIR/knowledge.npz"
+SERVE_TMPDIR="$WORKDIR/serve-tmp"
+mkdir "$SERVE_TMPDIR"
 
 echo "== fit reduced knowledge -> archive =="
 python - "$ARCHIVE" <<'PY'
@@ -47,8 +51,8 @@ print(json.dumps({"catalog": d["catalog"], \
     > "$WORKDIR/cli.json.catalog"
 
 echo "== repro serve --archive --shards 2 + HTTP /select =="
-python -m repro serve --archive "$ARCHIVE" --port "$PORT" --shards 2 \
-    > "$WORKDIR/serve.log" 2>&1 &
+TMPDIR="$SERVE_TMPDIR" python -m repro serve --archive "$ARCHIVE" \
+    --port "$PORT" --shards 2 > "$WORKDIR/serve.log" 2>&1 &
 SERVER_PID=$!
 
 if ! python - "$WORKLOAD" "$PORT" "$WORKDIR/cli.json" "$SERVER_PID" <<'PY'
@@ -131,7 +135,13 @@ then
     exit 1
 fi
 
-kill "$SERVER_PID"
+kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
+if [ -n "$(ls -A "$SERVE_TMPDIR")" ]; then
+    echo "repro serve left files in its TMPDIR after SIGTERM:"
+    ls -A "$SERVE_TMPDIR"
+    exit 1
+fi
+echo "TMPDIR empty after SIGTERM"
 echo "serve check OK"

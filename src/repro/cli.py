@@ -229,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--shards", type=int, default=1,
         help="scheduler shards; K > 1 runs K worker processes, requests "
-             "route by workload identity and each worker serves a "
-             "memmap-shared knowledge replica (default: 1)",
+             "route by workload identity and each worker serves its own "
+             "knowledge replica, sent through its pipe (default: 1)",
     )
     p_srv.add_argument(
         "--rec-cache", type=int, default=512, metavar="N",

@@ -16,10 +16,14 @@ re-running the campaign — the generalization of the profile cache of
 runs to whole pipeline stages.
 
 Arrays are serialized as an ``.npz`` blob (no pickling), so stores are
-safe to share across Python versions.  Like the profile cache, a broken
-store must never break a fit: a corrupted file is moved aside and
-recreated, an unopenable path degrades to an in-memory store, and every
-read failure is a miss.
+safe to share across Python versions.  This store and ``.npz`` archives
+are the only files knowledge is written to: a serving tier's worker
+processes get theirs through their pipes
+(:func:`~repro.core.persistence.knowledge_state`).
+
+Like the profile cache, a broken store must never break a fit: a
+corrupted file is moved aside and recreated, an unopenable path
+degrades to an in-memory store, and every read failure is a miss.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -41,8 +44,6 @@ __all__ = [
     "ArtifactInfo",
     "ArtifactStore",
     "content_fingerprint",
-    "write_memmap_bundle",
-    "read_memmap_bundle",
 ]
 
 #: Bump to invalidate every stored artifact when the serialized layout
@@ -281,67 +282,3 @@ class ArtifactStore:
         except sqlite3.Error:
             return 0
 
-
-# -- memmap-able stage bundles -------------------------------------------------
-#
-# The serving tier shares frozen knowledge across its shards' worker
-# processes.  The ``.npz`` serialization above cannot serve that
-# purpose: its members are DEFLATE streams that every process must
-# decompress into private pages.  A *memmap bundle* stores the same
-# named arrays as raw ``.npy`` files in a directory, so every consumer
-# opens them with ``numpy.memmap`` and the kernel shares one page-cache
-# copy of the knowledge among N readers.
-
-#: Commit marker of a memmap bundle; a directory without it is absent.
-BUNDLE_META_FILE = "bundle.json"
-
-
-def write_memmap_bundle(
-    directory: str | Path, arrays: dict[str, np.ndarray], meta: dict
-) -> Path:
-    """Write named arrays as raw ``.npy`` files plus a JSON meta blob.
-
-    The meta file is written last via an atomic rename, acting as the
-    bundle's commit marker: a reader never observes a half-written
-    bundle as present.  Array names may contain dots (the stage
-    serialization uses ``"stage.array"``); each maps to ``<name>.npy``.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, array in arrays.items():
-        np.save(directory / f"{name}.npy", np.ascontiguousarray(array))
-    payload = json.dumps(
-        {"meta": meta, "arrays": sorted(arrays)}, sort_keys=True
-    )
-    tmp = directory / (BUNDLE_META_FILE + ".tmp")
-    tmp.write_text(payload)
-    os.replace(tmp, directory / BUNDLE_META_FILE)
-    return directory
-
-
-def read_memmap_bundle(
-    directory: str | Path,
-) -> tuple[dict, dict[str, np.ndarray]]:
-    """Open a memmap bundle: ``(meta, arrays)`` with read-only memmaps.
-
-    Every array is opened with ``mmap_mode="r"`` — pages are shared
-    across processes and any accidental write raises instead of
-    corrupting the knowledge other shards are serving from.
-
-    Raises
-    ------
-    FileNotFoundError
-        When the directory holds no committed bundle.
-    ValueError
-        When the meta blob or a listed array file is unreadable.
-    """
-    directory = Path(directory)
-    meta_path = directory / BUNDLE_META_FILE
-    if not meta_path.is_file():
-        raise FileNotFoundError(f"no memmap bundle at {directory}")
-    manifest = json.loads(meta_path.read_text())
-    arrays = {
-        name: np.load(directory / f"{name}.npy", mmap_mode="r")
-        for name in manifest["arrays"]
-    }
-    return manifest["meta"], arrays

@@ -34,10 +34,14 @@ are byte-compatible with version 3 readers' expectations (same arrays,
 same stage fingerprints).  Version 1 archives (flat array names,
 pre-pipeline) remain loadable.
 
-Every load — an ``.npz`` archive, a memmap bundle directory, or an
-in-memory clone — takes one path: :func:`_upgrade` validates the
-metadata and brings older layouts to the current one, then each stage
-is restored through :meth:`~repro.core.pipeline.KnowledgePipeline.restore`.
+The knowledge itself is one ``(meta, arrays)`` pair
+(:func:`knowledge_state`): the archive stores it, an in-memory clone
+copies it and the serving tier sends it through a pool worker's pipe.
+Every restore of it — an ``.npz`` archive, a clone or a worker replica —
+takes one path (:func:`restore_knowledge`): :func:`_upgrade` validates
+the metadata and brings older layouts to the current one, then each
+stage is restored through
+:meth:`~repro.core.pipeline.KnowledgePipeline.restore`.
 Loading re-binds the stored workload/VM names against the current
 catalogs and rebuilds the knowledge graph and predictor through the
 pipeline's ``knowledge`` stage; a mismatch (e.g.
@@ -54,12 +58,7 @@ import numpy as np
 
 from repro.cloud.catalog import DEFAULT_CATALOG, get_catalog
 from repro.cloud.faults import FaultPlan
-from repro.core.artifacts import (
-    ArtifactStore,
-    content_fingerprint,
-    read_memmap_bundle,
-    write_memmap_bundle,
-)
+from repro.core.artifacts import ArtifactStore, content_fingerprint
 from repro.core.pipeline import CACHED_STAGES, STAGES, PromotedSource
 from repro.core.vesta import VestaSelector
 from repro.errors import ValidationError
@@ -70,7 +69,8 @@ __all__ = [
     "save_selector",
     "load_selector",
     "clone_knowledge",
-    "export_memmap_bundle",
+    "knowledge_state",
+    "restore_knowledge",
     "archive_knowledge_fingerprint",
     "FORMAT_VERSION",
 ]
@@ -139,8 +139,21 @@ def _stage_arrays(selector: VestaSelector) -> dict[str, dict[str, np.ndarray]]:
     }
 
 
-def _archive_meta(selector: VestaSelector) -> dict:
-    """The JSON metadata blob shared by every knowledge serialization."""
+def knowledge_state(
+    selector: VestaSelector,
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """A fitted selector's knowledge as ``(meta, arrays)``.
+
+    ``meta`` is the JSON metadata blob and ``arrays`` the stage arrays
+    under ``"stage.array"`` names — exactly what an archive stores.  The
+    pair pickles, so the serving tier sends it through a pool worker's
+    pipe; :func:`restore_knowledge` rebuilds a selector from it.
+
+    Raises
+    ------
+    ValidationError
+        If the selector has not been fitted.
+    """
     if not getattr(selector, "_fitted", False):
         raise ValidationError("cannot save an unfitted VestaSelector")
     meta = {
@@ -154,6 +167,11 @@ def _archive_meta(selector: VestaSelector) -> dict:
         "catalog": selector.catalog.name,
         "catalog_fingerprint": selector.catalog.fingerprint(),
     }
+    arrays = {
+        f"{stage}.{name}": array
+        for stage, bundle in _stage_arrays(selector).items()
+        for name, array in bundle.items()
+    }
     promotions = tuple(getattr(selector, "promotions", ()))
     if promotions:
         # Knowledge lineage: each promoted source remembers the knowledge
@@ -162,20 +180,9 @@ def _archive_meta(selector: VestaSelector) -> dict:
         meta["promotions"] = [
             {"name": p.name, "lineage": p.lineage} for p in promotions
         ]
-    return meta
-
-
-def _flat_stage_arrays(selector: VestaSelector) -> dict[str, np.ndarray]:
-    flat = {
-        f"{stage}.{name}": array
-        for stage, bundle in _stage_arrays(selector).items()
-        for name, array in bundle.items()
-    }
-    promotions = tuple(getattr(selector, "promotions", ()))
-    if promotions:
-        flat["promotions.labels"] = np.vstack([p.label_row for p in promotions])
-        flat["promotions.perf"] = np.vstack([p.perf_row for p in promotions])
-    return flat
+        arrays["promotions.labels"] = np.vstack([p.label_row for p in promotions])
+        arrays["promotions.perf"] = np.vstack([p.perf_row for p in promotions])
+    return meta, arrays
 
 
 def save_selector(selector: VestaSelector, path: str | Path) -> Path:
@@ -187,34 +194,14 @@ def save_selector(selector: VestaSelector, path: str | Path) -> Path:
         If the selector has not been fitted.
     """
     path = Path(path)
-    meta = _archive_meta(selector)
+    meta, arrays = knowledge_state(selector)
     np.savez_compressed(
         path,
         meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        **_flat_stage_arrays(selector),
+        **arrays,
     )
     # np.savez appends .npz when missing; normalise the returned path.
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def export_memmap_bundle(selector: VestaSelector, directory: str | Path) -> Path:
-    """Export fitted knowledge as a memmap bundle (see
-    :func:`~repro.core.artifacts.write_memmap_bundle`).
-
-    The serving tier's sharing format: the same per-stage arrays a
-    version-2 ``.npz`` archive holds, but stored as raw ``.npy`` files
-    so the shards' worker processes open them read-only via
-    ``numpy.memmap`` and share one page-cache copy instead of each
-    decompressing a private one.  :func:`load_selector` restores it.
-
-    Raises
-    ------
-    ValidationError
-        If the selector has not been fitted.
-    """
-    return write_memmap_bundle(
-        directory, _flat_stage_arrays(selector), _archive_meta(selector)
-    )
 
 
 def archive_knowledge_fingerprint(path: str | Path) -> str | None:
@@ -317,13 +304,8 @@ def load_selector(
     faults: FaultPlan | None = None,
     store: ArtifactStore | str | None = None,
 ) -> VestaSelector:
-    """Rebuild a fitted :class:`VestaSelector` from a saved archive.
-
-    ``path`` is an ``.npz`` archive (:func:`save_selector`) or a memmap
-    bundle directory (:func:`export_memmap_bundle`).  A bundle's
-    knowledge arrays stay read-only memory-maps of the bundle files, so
-    N replicas (threads or processes) share one page-cache copy of the
-    frozen knowledge while each keeps private online-session state.
+    """Rebuild a fitted :class:`VestaSelector` from an ``.npz`` archive
+    written by :func:`save_selector`.
 
     ``cache``, ``faults`` and ``store`` configure the rebuilt selector's
     profiling campaign and artifact store (the knowledge itself is
@@ -343,28 +325,28 @@ def load_selector(
     """
     path = Path(path)
     try:
-        if path.is_dir():
-            meta, arrays = read_memmap_bundle(path)
-        else:
-            with np.load(path) as data:
-                meta = json.loads(bytes(data["meta"]).decode())
-                arrays = {key: data[key] for key in data.files if key != "meta"}
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            arrays = {key: data[key] for key in data.files if key != "meta"}
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"cannot read archive {path}: {exc}") from exc
-    return _restore_selector(
-        meta, arrays, cache=cache, faults=faults, store=store
-    )
+    return restore_knowledge(meta, arrays, cache=cache, faults=faults, store=store)
 
 
-def _restore_selector(
+def restore_knowledge(
     meta,
     arrays: dict[str, np.ndarray],
     *,
-    cache: ProfileCache | str | None,
-    faults: FaultPlan | None,
-    store: ArtifactStore | str | None,
+    cache: ProfileCache | str | None = None,
+    faults: FaultPlan | None = None,
+    store: ArtifactStore | str | None = None,
 ) -> VestaSelector:
-    """Common tail of every load path: upgrade, rebind names, restore stages."""
+    """Rebuild a fitted selector from a :func:`knowledge_state` pair.
+
+    The tail of every load path: upgrade the metadata, rebind names,
+    restore stages.  ``cache``, ``faults`` and ``store`` are as for
+    :func:`load_selector`.
+    """
     meta, arrays = _upgrade(meta, arrays)
     # Versions 1 and 2 predate the catalog dimension: they were always
     # fitted against the EC2 Table-4 catalog, so they load as implicit
@@ -481,11 +463,11 @@ def clone_knowledge(
     would race with its online sessions.  Stage fingerprints (and thus the
     knowledge fingerprint) match the original's exactly.
     """
-    meta = json.loads(json.dumps(_archive_meta(selector)))
-    arrays = {
-        name: np.array(array, copy=True)
-        for name, array in _flat_stage_arrays(selector).items()
-    }
-    return _restore_selector(
-        meta, arrays, cache=cache, faults=faults, store=store
+    meta, arrays = knowledge_state(selector)
+    return restore_knowledge(
+        json.loads(json.dumps(meta)),
+        {name: np.array(array, copy=True) for name, array in arrays.items()},
+        cache=cache,
+        faults=faults,
+        store=store,
     )

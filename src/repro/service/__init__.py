@@ -11,7 +11,8 @@ selection in):
   bit-identical to sequential serving;
 - :mod:`repro.service.shards` / :mod:`repro.service.backend` — the
   sharded tier: K schedulers routed by workload identity, each running
-  its waves in its own worker process over memmap-shared knowledge;
+  its waves in its own worker process, which gets the knowledge through
+  its pipe;
 - :mod:`repro.service.server` / :mod:`repro.service.client` — stdlib
   JSON-over-HTTP frontend (``/select``, ``/healthz``, ``/statsz``) and
   its in-process client;
@@ -20,7 +21,7 @@ selection in):
 Run one with ``repro serve`` (see the README quickstart).
 """
 
-from repro.service.backend import BundleCache, InlineBackend, ProcessPoolBackend
+from repro.service.backend import InlineBackend, ProcessPoolBackend
 from repro.service.client import ServiceClient
 from repro.service.registry import SelectorHandle, SelectorRegistry
 from repro.service.scheduler import MicroBatchScheduler, SelectResponse
@@ -36,7 +37,6 @@ from repro.service.wire import (
 __all__ = [
     "canonical_request",
     "request_key",
-    "BundleCache",
     "InlineBackend",
     "MicroBatchScheduler",
     "ProcessPoolBackend",

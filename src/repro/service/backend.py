@@ -7,45 +7,39 @@ requests actually runs against a selector is an execution backend:
   thread against the live handle — the unsharded scheduler's backend,
   and the determinism baseline.
 - :class:`ProcessPoolBackend` ships the wave to a dedicated worker
-  process which serves it from a selector replica restored from a
-  memmap bundle (:func:`~repro.core.persistence.load_selector`); each
-  shard of a :class:`~repro.service.shards.ShardRouter` owns one.
-  Replicas are cached per knowledge fingerprint, so a hot-reload swaps
-  the worker's selector on the next wave, and the bundle's arrays are
-  read-only memory maps — N workers share one page-cache copy of the
-  frozen knowledge instead of each holding a private deserialized one.
+  process which serves it from a selector replica; each shard of a
+  :class:`~repro.service.shards.ShardRouter` owns one.  The knowledge
+  reaches the worker through its pipe, as the ``(meta, arrays)`` pair
+  of :func:`~repro.core.persistence.knowledge_state`, whenever the
+  worker does not hold the wave's fingerprint; the worker rebuilds its
+  replica with :func:`~repro.core.persistence.restore_knowledge`, the
+  one restore path archives and clones take.  So a hot-reload swaps
+  the worker's selector on the next wave, and no file is written.
 
 Both backends return one outcome per request — a
 :class:`~repro.core.vesta.Recommendation` or a
 :class:`~repro.errors.ReproError` — so a poisoned request fails alone
 instead of failing its batch neighbours.  Backends must be driven by a
 single scheduler thread; they are not reentrant.
-
-:class:`BundleCache` is the bridge between live handles and worker
-processes: it exports each selector's knowledge as a memmap bundle at
-most once per fingerprint under one root directory, which pool workers
-then open read-only.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import shutil
-import tempfile
-import threading
 import traceback
-from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.core.artifacts import BUNDLE_META_FILE
-from repro.core.persistence import export_memmap_bundle, load_selector
+from repro.core.persistence import knowledge_state, restore_knowledge
 from repro.errors import FaultInjectionError, ReproError, ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.registry import SelectorHandle
     from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["BundleCache", "InlineBackend", "ProcessPoolBackend"]
+__all__ = ["InlineBackend", "ProcessPoolBackend"]
+
+#: Seconds a pool worker may take to answer a wave before it is replaced.
+WAVE_TIMEOUT_S = 300.0
 
 
 def _recommend_all(selector, requests, on_session=None) -> list:
@@ -88,44 +82,6 @@ def _recommend_all(selector, requests, on_session=None) -> list:
     return outcomes
 
 
-class BundleCache:
-    """Export-once-per-fingerprint memmap bundles under one root.
-
-    The first request for a fingerprint exports the handle's knowledge
-    (``<root>/<fingerprint>/``); later requests — from any backend
-    sharing this cache — reuse the committed bundle.  Bundles are never
-    deleted while the cache lives, so a worker may keep serving from a
-    superseded version's maps until its next wave.
-    """
-
-    def __init__(self, root: str | Path | None = None) -> None:
-        self._owned = root is None
-        self._root = Path(
-            tempfile.mkdtemp(prefix="repro-bundles-") if root is None else root
-        )
-        self._lock = threading.Lock()
-        self._exported: set[str] = set()
-
-    @property
-    def root(self) -> Path:
-        return self._root
-
-    def path_for(self, handle: "SelectorHandle") -> Path:
-        """Bundle directory for the handle's fingerprint; exports on miss."""
-        path = self._root / handle.fingerprint
-        with self._lock:
-            if handle.fingerprint not in self._exported:
-                if not (path / BUNDLE_META_FILE).is_file():
-                    export_memmap_bundle(handle.selector, path)
-                self._exported.add(handle.fingerprint)
-        return path
-
-    def close(self) -> None:
-        """Delete the root if this cache created it (open maps survive)."""
-        if self._owned:
-            shutil.rmtree(self._root, ignore_errors=True)
-
-
 class InlineBackend:
     """Serve waves on the calling thread against the live handle.
 
@@ -157,25 +113,28 @@ class InlineBackend:
 
 
 def _pool_worker(conn) -> None:
-    """Worker-process loop: load bundle replicas, serve waves.
+    """Worker-process loop: restore the replica it is sent, serve waves.
 
-    Replicas are cached by knowledge fingerprint (only the latest is
-    kept — a reload should free the superseded version's session state).
+    Each message is ``(fingerprint, state, requests)``.  ``state`` is the
+    knowledge's ``(meta, arrays)`` pair when the parent found this worker
+    not holding ``fingerprint``, else ``None`` (serve from the held
+    replica).  The worker keeps one replica — a reload frees the
+    superseded version's session state — and replies ``(held, outcomes)``
+    with the fingerprint it now holds, ``None`` after a failed restore.
     Any exception a wave raises becomes that wave's answer, so one bad
     wave never takes the worker down.
     """
-    replicas: dict[str, object] = {}
+    held, selector = None, None
     while True:
         message = conn.recv()
         if message is None:
             return
-        bundle_dir, fingerprint, requests = message
+        fingerprint, state, requests = message
         try:
-            selector = replicas.get(fingerprint)
-            if selector is None:
-                replicas.clear()
-                selector = load_selector(bundle_dir)
-                replicas[fingerprint] = selector
+            if state is not None:
+                held = selector = None  # a failed restore holds nothing
+                selector = restore_knowledge(*state)
+                held = fingerprint
             outcomes = _recommend_all(selector, requests)
         except ReproError as exc:
             outcomes = [exc] * len(requests)
@@ -185,47 +144,39 @@ def _pool_worker(conn) -> None:
                 f"pool worker failed the wave: {type(exc).__name__}: {exc}"
             )
             outcomes = [error] * len(requests)
-        conn.send(outcomes)
+        conn.send((held, outcomes))
 
 
 class ProcessPoolBackend:
-    """Serve waves in a dedicated worker process over memmap bundles.
+    """Serve waves in a dedicated worker process.
 
     One worker per backend instance (each shard owns its backend, so a
     K-shard router runs K worker processes).  The worker is started
     with the ``spawn`` method — safe next to the scheduler's live
-    threads — and loads selector replicas from the shared
-    :class:`BundleCache`, so all workers map the same knowledge pages.
+    threads.  A wave carries the handle's fingerprint, plus the
+    knowledge state whenever the worker does not hold that fingerprint:
+    on the first wave, after a reload, after a restart and after a
+    failed restore.  The (fingerprint, state) pair is fixed before the
+    wave ships, so no wave ever mixes knowledge versions.
 
-    A wave that finds a new fingerprint first exports the bundle (in the
-    parent, once per fingerprint across all shards) and then reloads in
-    the worker, which is exactly the hot-reload path: no wave ever mixes
-    knowledge versions because the (bundle, fingerprint) pair is fixed
-    before the wave ships.
-
-    A worker that misses the wave deadline is terminated and replaced,
-    so its late reply can never be read as a later wave's answers; a
-    worker found dead is replaced before the next wave ships.
-    :meth:`describe` counts the replacements as ``restarts``.
+    A worker that misses the wave deadline (:data:`WAVE_TIMEOUT_S`) is
+    terminated and replaced, so its late reply can never be read as a
+    later wave's answers; a worker found dead is replaced before the
+    next wave ships.  :meth:`describe` counts the replacements as
+    ``restarts``.
     """
 
     name = "pool"
 
-    def __init__(
-        self,
-        bundles: BundleCache,
-        *,
-        request_timeout_s: float = 300.0,
-        context: str = "spawn",
-    ) -> None:
-        self._bundles = bundles
-        self._timeout_s = request_timeout_s
-        self._ctx = multiprocessing.get_context(context)
+    def __init__(self) -> None:
+        self._ctx = multiprocessing.get_context("spawn")
+        self._timeout_s = WAVE_TIMEOUT_S
         self._waves = 0
         self._restarts = 0
         self._start()
 
     def _start(self) -> None:
+        self._held: str | None = None  # a fresh worker holds no replica
         self._conn, child = self._ctx.Pipe()
         self._proc = self._ctx.Process(
             target=_pool_worker, args=(child,), daemon=True
@@ -242,18 +193,19 @@ class ProcessPoolBackend:
         self._start()
 
     def run(self, handle: "SelectorHandle", requests) -> list:
-        bundle = self._bundles.path_for(handle)
         if not self._proc.is_alive():
             self._restart()
+        fingerprint = handle.fingerprint
+        state = None if self._held == fingerprint else knowledge_state(handle.selector)
         try:
-            self._conn.send((str(bundle), handle.fingerprint, list(requests)))
+            self._conn.send((fingerprint, state, list(requests)))
             if not self._conn.poll(self._timeout_s):
                 self._restart()
                 raise ServiceError(
                     f"pool worker timed out after {self._timeout_s:.0f}s "
                     f"and was restarted"
                 )
-            outcomes = self._conn.recv()
+            self._held, outcomes = self._conn.recv()
         except (OSError, EOFError) as exc:
             self._restart()
             raise ServiceError(f"pool worker died: {exc}") from exc

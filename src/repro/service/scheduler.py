@@ -7,7 +7,7 @@ online wave, executed by a pluggable backend
 (:mod:`repro.service.backend`): inline on the worker thread for a
 standalone scheduler, or, for each shard of a
 :class:`~repro.service.shards.ShardRouter`, shipped to a dedicated
-worker process serving from memmap-shared knowledge.
+worker process serving from a knowledge replica sent through its pipe.
 Either way the wave is :meth:`VestaSelector.online_many`, whose results
 are proven bit-identical to opening the sessions one at a time.  Because
 one worker alone drives the selector, any client concurrency collapses

@@ -15,16 +15,15 @@ sessions mutate per-selector state, and K scheduler threads under one
 interpreter lock would not compute in parallel anyway.  Instead every
 shard ships its waves to its own worker *process*
 (:class:`~repro.service.backend.ProcessPoolBackend`), which serves from
-a replica restored over a memmap bundle of the base registry's
-knowledge, exported once per fingerprint
-(:class:`~repro.service.backend.BundleCache`): K shards, K worker
-processes, one shared page-cache copy of the frozen knowledge.
+its own replica of the base registry's knowledge, sent through the
+worker's pipe: K shards, K worker processes, no files.
 
 Hot-reload flows through fingerprints: each wave snapshots the base
-handle and ships its fingerprint with the wave, and a worker whose
-replica no longer matches reloads it from the (new) bundle before
-serving — so no response ever mixes knowledge versions, exactly the
-single-scheduler contract.
+handle and ships its fingerprint with the wave, together with the
+knowledge itself whenever the worker does not hold that fingerprint,
+and the worker restores the new replica before serving — so no
+response ever mixes knowledge versions, exactly the single-scheduler
+contract.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from collections.abc import Iterable
 from concurrent.futures import Future
 
 from repro.errors import ValidationError
-from repro.service.backend import BundleCache, ProcessPoolBackend
+from repro.service.backend import ProcessPoolBackend
 from repro.service.registry import SelectorRegistry
 from repro.service.scheduler import MicroBatchScheduler, SelectResponse
 from repro.telemetry.latency import DurationSummary
@@ -87,7 +86,6 @@ class ShardRouter:
             raise ValidationError(f"shards must be >= 1, got {shards}")
         self.registry = registry
         self.selector_name = selector
-        self._bundles = BundleCache()
         self._shards = [
             MicroBatchScheduler(
                 registry,
@@ -95,7 +93,7 @@ class ShardRouter:
                 max_batch=max_batch,
                 max_wait_ms=max_wait_ms,
                 queue_limit=queue_limit,
-                backend=ProcessPoolBackend(self._bundles),
+                backend=ProcessPoolBackend(),
                 shard=index,
                 rec_cache_size=rec_cache_size,
             )
@@ -105,10 +103,9 @@ class ShardRouter:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self, timeout_s: float = 10.0) -> None:
-        """Close every shard (and its backend), then the bundle cache."""
+        """Close every shard and its backend."""
         for shard in self._shards:
             shard.close(timeout_s=timeout_s)
-        self._bundles.close()
 
     def __enter__(self) -> "ShardRouter":
         return self

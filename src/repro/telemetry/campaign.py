@@ -285,11 +285,6 @@ class _Task:
     #: Strings were resolved in the parent, so workers never ship a
     #: whole catalog — just the (small, frozen) pricing model.
     pricing: PricingModel | None = None
-    #: Capture mode (speculative prefetch): a permanently failed run
-    #: returns ``(index, None, ())`` instead of raising, leaving the cell
-    #: uncomputed so the consumer's own retry reproduces the failure (and
-    #: its fault events) exactly where the serial path would have seen it.
-    capture: bool = False
 
 
 def _run_batch(
@@ -304,7 +299,9 @@ def _run_batch(
     Each chunk builds its own collectors; the per-triple stream seeds
     make the result identical to the scalar path whichever process runs
     it, and observed fault events ride back with each result so the
-    parent campaign's counters stay exact.
+    parent campaign's counters stay exact.  A failed cell comes back as
+    ``(index, None, ())``, uncomputed, so the parent replays it serially
+    where the serial path would have met it.
     """
     groups: dict[tuple, list[_Task]] = {}
     for t in tasks:
@@ -314,7 +311,6 @@ def _run_batch(
             t.sample_period_s,
             id(t.faults),
             id(t.pricing),
-            t.capture,
         )
         groups.setdefault(key, []).append(t)
     out: list[tuple[int, WorkloadProfile | float | None, tuple[FaultEvent, ...]]] = []
@@ -329,7 +325,7 @@ def _run_batch(
         )
         results = collector.profile_many(
             [(t.spec, t.vm, t.nodes, t.runtime_only) for t in group],
-            capture=head.capture,
+            capture=True,
         )
         for t, res in zip(group, results):
             if res is None:
@@ -473,10 +469,11 @@ class ProfilingCampaign:
         calls for the same cells are pure memo hits, so results stay
         bit-identical to the serial path.
 
-        Runs speculatively under a fault plan: a cell whose run fails
-        permanently is left uncomputed (its fault events are dropped) so
-        the consumer's own retry reproduces the failure — and its events
-        — deterministically.  Returns the number of cells computed.
+        Runs speculatively: a cell whose run fails permanently (or does
+        not fit in memory) is left uncomputed (its fault events are
+        dropped) so the consumer's own retry reproduces the failure — and
+        its events — deterministically.  Returns the number of cells
+        computed.
         """
         start = time.perf_counter()
         pending: list[tuple[_Task, str]] = []
@@ -506,7 +503,6 @@ class ProfilingCampaign:
                         runtime_only=runtime_only,
                         faults=self.faults,
                         pricing=self.pricing,
-                        capture=True,
                     ),
                     key,
                 )
@@ -626,19 +622,24 @@ class ProfilingCampaign:
             self.counters.elapsed_s += time.perf_counter() - start
             return hit
         self.counters.cache_misses += 1
-        try:
-            if runtime_only:
-                value = self.collector.runtime_only(spec, vm, nodes=nodes)
-            else:
-                value = self.collector.collect(spec, vm, nodes=nodes)
-        finally:
-            # Drain even when the run failed permanently: the transient
-            # and permanent events must reach the counters either way.
-            self._absorb_events(self.collector.drain_fault_events())
+        value = self._run_cell(spec, vm, nodes, runtime_only)
         self.counters.computed += 1
         self._store(key, value, runtime_only)
         self.counters.elapsed_s += time.perf_counter() - start
         return value
+
+    def _run_cell(
+        self, spec: WorkloadSpec, vm: VMType, nodes: int | None, runtime_only: bool
+    ) -> WorkloadProfile | float:
+        """Profile one cell on the serial collector, logging its faults."""
+        try:
+            if runtime_only:
+                return self.collector.runtime_only(spec, vm, nodes=nodes)
+            return self.collector.collect(spec, vm, nodes=nodes)
+        finally:
+            # Drain even when the run failed permanently: the transient
+            # and permanent events must reach the counters either way.
+            self._absorb_events(self.collector.drain_fault_events())
 
     def _grid(
         self,
@@ -686,12 +687,18 @@ class ProfilingCampaign:
                         )
                     )
         if pending:
-            key_by_index = {task.index: key for task, key in pending}
+            by_index = {task.index: (task, key) for task, key in pending}
             # Sorted by grid index so the fault log reads in grid order
             # whatever the workers' completion order was.
             for idx, value, events in sorted(self._execute([t for t, _ in pending])):
+                task, key = by_index[idx]
+                if value is None:
+                    # First failed cell in grid order: replay it serially
+                    # so it raises with its own fault events, as the
+                    # serial loop would; later cells are dropped.
+                    value = self._run_cell(task.spec, task.vm, nodes, runtime_only)
                 results[idx] = value
-                self._store(key_by_index[idx], value, runtime_only)
+                self._store(key, value, runtime_only)
                 self._absorb_events(events)
                 self.counters.computed += 1
         self.counters.elapsed_s += time.perf_counter() - start
@@ -699,7 +706,7 @@ class ProfilingCampaign:
 
     def _execute(
         self, tasks: list[_Task]
-    ) -> list[tuple[int, WorkloadProfile | float, tuple[FaultEvent, ...]]]:
+    ) -> list[tuple[int, WorkloadProfile | float | None, tuple[FaultEvent, ...]]]:
         """Run one wave inline or on a pool sized from the wave.
 
         The pool gets one worker per :data:`_CELLS_PER_WORKER` cells,

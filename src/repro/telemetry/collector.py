@@ -367,9 +367,9 @@ class DataCollector:
         reproduce a serial loop over cells: the first cell that fails
         raises (:class:`OutOfMemoryError` for infeasible placements,
         :class:`ProbeFailedError` for exhausted fault budgets).  With
-        ``capture=True`` a permanently failed cell instead yields ``None``
-        (its fault events are discarded), matching the campaign's
-        speculative-prefetch semantics; infeasible placements still raise.
+        ``capture=True`` a failed cell — permanently failed or infeasible —
+        instead yields ``None`` (its fault events are discarded), so the
+        campaign's waves can leave it to a serial replay.
         """
         from repro.frameworks.batch import simulate_cells
         from repro.frameworks.registry import resolve_cells
@@ -433,7 +433,7 @@ class DataCollector:
                     value = self._profile_from_batch(
                         spec, clusters[i], sim, i, noise, series_by_cell.get(i)
                     )
-            except ProbeFailedError:
+            except (ProbeFailedError, OutOfMemoryError):
                 if not capture:
                     raise
                 del self.fault_events[first_event:]
@@ -498,27 +498,3 @@ class DataCollector:
             timeseries=series,
             spilled=spilled,
         )
-
-    def collect_batch(
-        self,
-        cells,
-        *,
-        nodes: int | None = None,
-    ) -> list[WorkloadProfile]:
-        """Batched :meth:`collect` over ``(spec, vm)`` cells (one pass)."""
-        results = self.profile_many(
-            [(spec, vm, nodes, False) for spec, vm in cells]
-        )
-        return [value for value, _ in results]  # type: ignore[misc]
-
-    def runtime_only_batch(
-        self,
-        cells,
-        *,
-        nodes: int | None = None,
-    ) -> list[float]:
-        """Batched :meth:`runtime_only` over ``(spec, vm)`` cells."""
-        results = self.profile_many(
-            [(spec, vm, nodes, True) for spec, vm in cells]
-        )
-        return [value for value, _ in results]  # type: ignore[misc]

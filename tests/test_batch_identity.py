@@ -60,6 +60,15 @@ def hog_spec(name="bid-hog"):
     )
 
 
+def _collect_many(collector, cells, *, nodes=None, runtime_only=False):
+    """One :meth:`DataCollector.profile_many` pass over ``(spec, vm)``
+    cells of one kind; the values, without their fault events."""
+    results = collector.profile_many(
+        [(spec, vm, nodes, runtime_only) for spec, vm in cells]
+    )
+    return [value for value, _ in results]
+
+
 spec_strategy = st.builds(
     make_spec,
     st.sampled_from(["lr", "sort", "kmeans", "grep", "join", "page-rank", "wordcount"]),
@@ -297,7 +306,7 @@ class TestFlattenPlans:
 
 
 class TestCollectorBatchIdentity:
-    """profile_many and its wrappers replay the scalar 10-rep protocol."""
+    """profile_many replays the scalar 10-rep protocol, cell by cell."""
 
     CELLS = [
         (make_spec("lr", "spark", 6.0, 3), "m5.xlarge"),
@@ -321,13 +330,15 @@ class TestCollectorBatchIdentity:
         assert a.budget_p90 == b.budget_p90
 
     def test_collect_batch_matches_collect(self):
-        batched = DataCollector(seed=11).collect_batch(self.CELLS)
+        batched = _collect_many(DataCollector(seed=11), self.CELLS)
         scalar = DataCollector(seed=11)
         for got, (spec, vm) in zip(batched, self.CELLS):
             self.assert_profiles_identical(got, scalar.collect(spec, vm))
 
     def test_runtime_only_batch_matches_runtime_only(self):
-        batched = DataCollector(seed=11).runtime_only_batch(self.CELLS, nodes=5)
+        batched = _collect_many(
+            DataCollector(seed=11), self.CELLS, nodes=5, runtime_only=True
+        )
         scalar = DataCollector(seed=11)
         for got, (spec, vm) in zip(batched, self.CELLS):
             assert got == scalar.runtime_only(spec, vm, nodes=5)
@@ -360,7 +371,7 @@ class TestCollectorBatchIdentity:
         )
         batched = DataCollector(seed=11, faults=plan)
         scalar = DataCollector(seed=11, faults=plan)
-        got = batched.collect_batch(self.CELLS)
+        got = _collect_many(batched, self.CELLS)
         want = [scalar.collect(spec, vm) for spec, vm in self.CELLS]
         for a, b in zip(got, want):
             self.assert_profiles_identical(a, b)
@@ -371,7 +382,7 @@ class TestCollectorBatchIdentity:
         with pytest.raises(OutOfMemoryError) as scalar_exc:
             DataCollector(seed=11).collect(hog_spec(), "m5.xlarge")
         with pytest.raises(OutOfMemoryError) as batch_exc:
-            DataCollector(seed=11).collect_batch(cells)
+            _collect_many(DataCollector(seed=11), cells)
         assert str(batch_exc.value) == str(scalar_exc.value)
 
     def test_capture_mode_trims_failed_cells(self):
@@ -397,8 +408,8 @@ class TestCollectorBatchIdentity:
     def test_seeding_contract_is_order_independent(self):
         """Stream seeds hang off (workload, vm, seed) — not batch position."""
         reversed_cells = list(reversed(self.CELLS))
-        a = DataCollector(seed=9).collect_batch(self.CELLS)
-        b = DataCollector(seed=9).collect_batch(reversed_cells)
+        a = _collect_many(DataCollector(seed=9), self.CELLS)
+        b = _collect_many(DataCollector(seed=9), reversed_cells)
         for got, want in zip(a, reversed(b)):
             self.assert_profiles_identical(got, want)
         stream = _stream_seed(self.CELLS[0][0].name, "m5.xlarge", 9)
@@ -448,3 +459,28 @@ class TestCampaignBatchingGate:
             assert np.array_equal(a.budgets, b.budgets)
             assert np.array_equal(a.timeseries, b.timeseries)
             assert a.spilled == b.spilled
+
+    @pytest.mark.parametrize("hog_first", [False, True], ids=["fault-first", "oom-first"])
+    @pytest.mark.parametrize("runtime_only", [True, False], ids=["p90", "profile"])
+    def test_grid_raises_the_serial_loops_first_failure(self, hog_first, runtime_only):
+        """A grid holding an exhausted fault budget and an infeasible
+        placement raises whichever the serial loop meets first, with the
+        serial loop's fault log."""
+        from repro.telemetry.campaign import ProfilingCampaign
+
+        plan = FaultPlan(transient_prob=0.5, max_attempts=2, seed=3)
+        specs = (hog_spec(), self.SPECS[0])
+        specs = specs if hog_first else specs[::-1]
+        serial = ProfilingCampaign(seed=7, faults=plan)
+        run_cell = serial.runtime_only if runtime_only else serial.collect
+        with pytest.raises((ProbeFailedError, OutOfMemoryError)) as want:
+            for spec in specs:
+                for vm in self.VMS:
+                    run_cell(spec, vm)
+        grid = ProfilingCampaign(seed=7, faults=plan)
+        run_grid = grid.runtime_matrix if runtime_only else grid.collect_grid
+        with pytest.raises((ProbeFailedError, OutOfMemoryError)) as got:
+            run_grid(specs, self.VMS)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert grid.fault_log == serial.fault_log

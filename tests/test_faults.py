@@ -214,6 +214,39 @@ class TestEnabledDeterminism:
             np.testing.assert_array_equal(ga[key].runtimes, gb[key].runtimes)
             np.testing.assert_array_equal(ga[key].timeseries, gb[key].timeseries)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(transient_prob=0.5, max_attempts=2, seed=3),
+            FaultPlan(transient_prob=0.5, max_attempts=3, seed=3),
+        ],
+        ids=["first-cell", "thirteenth-cell"],
+    )
+    def test_exhausted_grid_fails_like_the_serial_loop(
+        self, plan, workers, force_pool
+    ):
+        """A grid that runs out of retries raises the serial loop's first
+        failed cell, with the serial loop's fault log, whatever the pool."""
+        specs, vms = training_set()[:4], catalog()[:12]
+        serial = ProfilingCampaign(repetitions=REPS, seed=7, faults=plan)
+        with pytest.raises(ProbeFailedError) as want:
+            for spec in specs:
+                for vm in vms:
+                    serial.runtime_only(spec, vm)
+        started = force_pool(workers)
+        grid = ProfilingCampaign(repetitions=REPS, seed=7, faults=plan)
+        with pytest.raises(ProbeFailedError) as got:
+            grid.runtime_matrix(specs, vms)
+        assert started == ([workers] if workers > 1 else [])
+        assert (got.value.workload, got.value.vm_name, got.value.events) == (
+            want.value.workload,
+            want.value.vm_name,
+            want.value.events,
+        )
+        assert grid.fault_log == serial.fault_log
+        assert grid.counters.computed == serial.counters.computed
+
     def test_faults_actually_change_results(self):
         clean = ProfilingCampaign(repetitions=REPS, seed=7)
         faulted = self.faulted_campaign()

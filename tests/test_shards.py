@@ -2,8 +2,9 @@
 
 Covers the shard router (workload-identity routing, multi-shard
 bit-identity to sequential serving at mixed concurrency, hot-reload
-version isolation, each shard's process-pool backend over memmap
-bundles and the worker's per-fingerprint replica cache), the
+version isolation, no temp files, each shard's process-pool backend
+and the knowledge it sends its worker only when the worker does not
+hold the wave's fingerprint), the
 scheduler's deadline enforcement at both ends of a wave, deadline-based
 load-shedding under overload, the 429 retry hint on the wire, and the
 thread safety of :class:`DurationSummary`.
@@ -15,10 +16,12 @@ import json
 import multiprocessing
 import os
 import signal
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.client import HTTPConnection
+from multiprocessing.connection import Connection
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +34,7 @@ from repro.errors import (
     DeadlineExceededError,
     ServiceError,
     ServiceOverloadedError,
+    ValidationError,
 )
 from repro.service import (
     MicroBatchScheduler,
@@ -40,7 +44,7 @@ from repro.service import (
     ShardRouter,
 )
 from repro.service import backend as backend_module
-from repro.service.backend import BundleCache, InlineBackend, ProcessPoolBackend
+from repro.service.backend import InlineBackend, ProcessPoolBackend
 from repro.service.server import serve
 from repro.service.shards import shard_for
 from repro.telemetry.latency import DurationSummary
@@ -77,6 +81,10 @@ def registry(selector):
     reg = SelectorRegistry()
     reg.register("default", selector)
     return reg
+
+
+def _wave(names):
+    return [(get_workload(name), "time") for name in names]
 
 
 def _assert_matches_reference(payload_rec, expected) -> None:
@@ -121,6 +129,23 @@ class TestShardRouting:
             assert len(router.shards) == 2
             for shard in router.shards:
                 assert isinstance(shard.backend, ProcessPoolBackend)
+
+    def test_sharded_serving_writes_no_temp_files(
+        self, registry, reference, tmp_path, monkeypatch
+    ):
+        # Workers get their knowledge through their pipes: nothing lands
+        # in the temp directory, which a killed server could leave behind.
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmp))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        with ShardRouter(registry, shards=2, max_wait_ms=1.0) as router:
+            for name, response in zip(TARGETS, router.select_all(TARGETS)):
+                _assert_matches_reference(
+                    response.recommendation, reference[(name, "time")]
+                )
+            assert list(tmp.iterdir()) == []
+        assert list(tmp.iterdir()) == []
 
 
 class TestShardBitIdentity:
@@ -170,14 +195,10 @@ class TestPoolBackendRecovery:
     """A slow, dead or failing pool worker costs at most its own wave."""
 
     @pytest.fixture()
-    def backend(self, tmp_path):
-        backend = ProcessPoolBackend(BundleCache(tmp_path / "bundles"))
+    def backend(self):
+        backend = ProcessPoolBackend()
         yield backend
         backend.close()
-
-    @staticmethod
-    def _wave(names):
-        return [(get_workload(name), "time") for name in names]
 
     def _assert_wave(self, outcomes, names, reference):
         assert len(outcomes) == len(names)
@@ -190,9 +211,9 @@ class TestPoolBackendRecovery:
         handle = registry.get("default")
         backend._timeout_s = 1e-3  # no worker loads a replica that fast
         with pytest.raises(ServiceError, match="timed out"):
-            backend.run(handle, self._wave(TARGETS[:3]))
+            backend.run(handle, _wave(TARGETS[:3]))
         backend._timeout_s = 300.0
-        outcomes = backend.run(handle, self._wave(TARGETS[3:]))
+        outcomes = backend.run(handle, _wave(TARGETS[3:]))
         self._assert_wave(outcomes, TARGETS[3:], reference)
         assert backend.describe()["restarts"] == 1
 
@@ -201,7 +222,7 @@ class TestPoolBackendRecovery:
     ):
         handle = registry.get("default")
         self._assert_wave(
-            backend.run(handle, self._wave(TARGETS[:1])), TARGETS[:1], reference
+            backend.run(handle, _wave(TARGETS[:1])), TARGETS[:1], reference
         )
         pid = backend.describe()["pid"]
         os.kill(pid, signal.SIGKILL)
@@ -210,7 +231,7 @@ class TestPoolBackendRecovery:
             time.sleep(0.01)
         assert not backend.describe()["alive"]
         self._assert_wave(
-            backend.run(handle, self._wave(TARGETS)), TARGETS, reference
+            backend.run(handle, _wave(TARGETS)), TARGETS, reference
         )
         described = backend.describe()
         assert described["restarts"] == 1
@@ -225,18 +246,48 @@ class TestPoolBackendRecovery:
         assert isinstance(outcome, ServiceError)
         assert "AttributeError" in str(outcome)
         self._assert_wave(
-            backend.run(handle, self._wave(TARGETS[:2])), TARGETS[:2], reference
+            backend.run(handle, _wave(TARGETS[:2])), TARGETS[:2], reference
         )
         assert backend.describe()["restarts"] == 0
 
 
 class TestPoolWorkerReplicaCache:
+    """The pool backend driving its worker loop on a thread, so the
+    replicas the worker restores can be counted in-process."""
+
+    @pytest.fixture()
+    def threaded(self, monkeypatch):
+        def thread_process(target, args, daemon):
+            # The backend closes its end of the child pipe after start();
+            # the thread keeps serving on a duplicate of it.
+            conn = Connection(os.dup(args[0].fileno()))
+            return threading.Thread(target=target, args=(conn,), daemon=daemon)
+
+        context = SimpleNamespace(Pipe=multiprocessing.Pipe, Process=thread_process)
+        monkeypatch.setattr(
+            backend_module,
+            "multiprocessing",
+            SimpleNamespace(get_context=lambda method: context),
+        )
+        restores: list[dict] = []
+        real_restore = backend_module.restore_knowledge
+
+        def counting_restore(meta, arrays):
+            restores.append(meta)
+            return real_restore(meta, arrays)
+
+        monkeypatch.setattr(backend_module, "restore_knowledge", counting_restore)
+        backend = ProcessPoolBackend()
+        yield backend, restores
+        backend.close()
+        assert not backend._proc.is_alive()
+
     def test_worker_reloads_only_when_the_fingerprint_moves(
-        self, registry, reference, tmp_path, monkeypatch
+        self, threaded, registry, reference
     ):
-        """The worker loop, driven in-process: waves for fingerprints
-        A, A, B, A restore 3 replicas, and every answer is its own
-        version's sequential answer."""
+        """Waves for fingerprints A, A, B, A restore 3 replicas, and
+        every answer is its own version's sequential answer."""
+        backend, restores = threaded
         other = _fresh_selector(k=5)
         handle_a = registry.get("default")
         handle_b = SelectorRegistry().register("default", other)
@@ -248,39 +299,43 @@ class TestPoolWorkerReplicaCache:
                 other.select(get_workload(n)) for n in names
             ],
         }
-        loads: list[str] = []
-        real_load = backend_module.load_selector
+        for handle in (handle_a, handle_a, handle_b, handle_a):
+            outcomes = backend.run(handle, _wave(names))
+            assert len(outcomes) == len(names)
+            for outcome, want in zip(outcomes, expected[handle.fingerprint]):
+                _assert_matches_reference(outcome, want)
+        assert len(restores) == 3
 
-        def counting_load(path):
-            loads.append(str(path))
-            return real_load(path)
+    def test_failed_restore_answers_errors_then_gets_the_state_again(
+        self, threaded, registry, reference, monkeypatch
+    ):
+        backend, restores = threaded
+        real_state = backend_module.knowledge_state
+        sent: list[dict] = []
 
-        monkeypatch.setattr(backend_module, "load_selector", counting_load)
-        bundles = BundleCache(tmp_path / "bundles")
-        parent, child = multiprocessing.Pipe()
-        worker = threading.Thread(
-            target=backend_module._pool_worker, args=(child,), daemon=True
-        )
-        worker.start()
-        try:
-            for handle in (handle_a, handle_a, handle_b, handle_a):
-                parent.send((
-                    str(bundles.path_for(handle)),
-                    handle.fingerprint,
-                    [(get_workload(n), "time") for n in names],
-                ))
-                assert parent.poll(120), "worker never answered the wave"
-                outcomes = parent.recv()
-                assert len(outcomes) == len(names)
-                for outcome, want in zip(outcomes, expected[handle.fingerprint]):
-                    _assert_matches_reference(outcome, want)
-        finally:
-            parent.send(None)
-            worker.join(timeout=30)
-            parent.close()
-            child.close()
-        assert not worker.is_alive()
-        assert len(loads) == 3
+        def first_state_broken(selector):
+            meta, arrays = real_state(selector)
+            if not sent:
+                meta = {k: v for k, v in meta.items() if k != "hyperparams"}
+            sent.append(meta)
+            return meta, arrays
+
+        monkeypatch.setattr(backend_module, "knowledge_state", first_state_broken)
+        handle = registry.get("default")
+        names = TARGETS[:2]
+        failed = backend.run(handle, _wave(names))
+        assert len(failed) == len(names)
+        assert all(isinstance(outcome, ValidationError) for outcome in failed)
+        for name, outcome in zip(names, backend.run(handle, _wave(names))):
+            _assert_matches_reference(outcome, reference[(name, "time")])
+        assert len(sent) == 2 and len(restores) == 2
+        # A wave that fails after a good restore keeps the replica: a
+        # bare name where a WorkloadSpec belongs is not a ReproError.
+        (outcome,) = backend.run(handle, [(names[0], "time")])
+        assert isinstance(outcome, ServiceError)
+        for name, outcome in zip(names, backend.run(handle, _wave(names))):
+            _assert_matches_reference(outcome, reference[(name, "time")])
+        assert len(sent) == 2 and len(restores) == 2
 
 
 class TestShardHotReload:
