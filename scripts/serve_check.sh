@@ -7,7 +7,15 @@
 # that the 2 shards run in 2 worker processes outside the server's
 # interpreter, and that only the routed shard's worker served a wave.
 # The server runs with its own TMPDIR, which must still be empty after a
-# SIGTERM: the workers get their knowledge through their pipes.
+# SIGTERM (the workers get their knowledge through their pipes); the
+# SIGTERM must also end the server cleanly: exit status 0, no traceback
+# in its log.
+#
+# The check runs twice: once clean, once with a REPRO_FAULT_* plan
+# restricted to the checked workload exported to both commands.  The
+# faulted answer must still equal the CLI payload, fault events included,
+# and carry at least one fault event (the plan's seed 6 gives spark-lr 11
+# events and one permanently lost probe).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,8 +28,6 @@ SERVER_PID=""
 trap '[ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null; rm -rf "$WORKDIR"' EXIT
 
 ARCHIVE="$WORKDIR/knowledge.npz"
-SERVE_TMPDIR="$WORKDIR/serve-tmp"
-mkdir "$SERVE_TMPDIR"
 
 echo "== fit reduced knowledge -> archive =="
 python - "$ARCHIVE" <<'PY'
@@ -39,23 +45,31 @@ save_selector(vesta, sys.argv[1])
 print(f"archived fingerprint {vesta.knowledge_fingerprint()}")
 PY
 
-echo "== baseline: repro select --archive --json =="
-python -m repro select "$WORKLOAD" --archive "$ARCHIVE" --json \
-    > "$WORKDIR/cli.json"
-
 echo "== expected catalog identity: repro catalog --json =="
 python -m repro catalog --json \
     | python -c 'import json,sys; d=json.load(sys.stdin); \
 print(json.dumps({"catalog": d["catalog"], \
 "catalog_fingerprint": d["catalog_fingerprint"]}))' \
-    > "$WORKDIR/cli.json.catalog"
+    > "$WORKDIR/catalog.json"
 
-echo "== repro serve --archive --shards 2 + HTTP /select =="
-TMPDIR="$SERVE_TMPDIR" python -m repro serve --archive "$ARCHIVE" \
-    --port "$PORT" --shards 2 > "$WORKDIR/serve.log" 2>&1 &
-SERVER_PID=$!
+# check_leg NAME MIN_FAULT_EVENTS: one CLI-vs-HTTP comparison against a
+# fresh `repro serve --shards 2`, then a SIGTERM and the shutdown checks.
+check_leg() {
+    local name=$1 min_events=$2
+    local leg="$WORKDIR/$name"
+    mkdir -p "$leg/serve-tmp"
 
-if ! python - "$WORKLOAD" "$PORT" "$WORKDIR/cli.json" "$SERVER_PID" <<'PY'
+    echo "== [$name] baseline: repro select --archive --json =="
+    python -m repro select "$WORKLOAD" --archive "$ARCHIVE" --json \
+        > "$leg/cli.json"
+
+    echo "== [$name] repro serve --archive --shards 2 + HTTP /select =="
+    TMPDIR="$leg/serve-tmp" python -m repro serve --archive "$ARCHIVE" \
+        --port "$PORT" --shards 2 > "$leg/serve.log" 2>&1 &
+    SERVER_PID=$!
+
+    if ! python - "$WORKLOAD" "$PORT" "$leg/cli.json" "$SERVER_PID" \
+        "$WORKDIR/catalog.json" "$min_events" <<'PY'
 import json
 import sys
 import time
@@ -63,7 +77,8 @@ from urllib.error import URLError
 from urllib.request import Request, urlopen
 
 workload, port, cli_path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-server_pid = int(sys.argv[4])
+server_pid, catalog_path = int(sys.argv[4]), sys.argv[5]
+min_events = int(sys.argv[6])
 base = f"http://127.0.0.1:{port}"
 for _ in range(120):
     try:
@@ -88,13 +103,16 @@ if payload["recommendation"] != expected:
         "HTTP /select diverged from `repro select --json`:\n"
         f"  http: {payload['recommendation']}\n  cli:  {expected}"
     )
+events = len(payload["recommendation"]["fault_events"])
+if events < min_events:
+    sys.exit(f"HTTP /select carried {events} fault events, expected >= {min_events}")
 stats = json.load(urlopen(base + "/statsz", timeout=5))
 print(
     f"HTTP payload == CLI payload: {payload['recommendation']['vm_name']} "
-    f"(fingerprint {payload['model']['fingerprint']}, "
+    f"(fingerprint {payload['model']['fingerprint']}, {events} fault events, "
     f"served {stats['schedulers']['default']['completed']})"
 )
-with open(cli_path + ".catalog") as fh:
+with open(catalog_path) as fh:
     served = stats["catalogs"]["default"]
     expected_catalog = json.load(fh)
     if served != expected_catalog:
@@ -129,19 +147,34 @@ print(
     f"(server pid {server_pid}), waves {waves}"
 )
 PY
-then
-    echo "---- serve.log ----"
-    cat "$WORKDIR/serve.log"
-    exit 1
-fi
+    then
+        echo "---- serve.log ----"
+        cat "$leg/serve.log"
+        exit 1
+    fi
 
-kill -TERM "$SERVER_PID"
-wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=""
-if [ -n "$(ls -A "$SERVE_TMPDIR")" ]; then
-    echo "repro serve left files in its TMPDIR after SIGTERM:"
-    ls -A "$SERVE_TMPDIR"
-    exit 1
-fi
-echo "TMPDIR empty after SIGTERM"
+    kill -TERM "$SERVER_PID"
+    local status=0
+    wait "$SERVER_PID" || status=$?
+    SERVER_PID=""
+    if [ "$status" -ne 0 ] || grep -q Traceback "$leg/serve.log"; then
+        echo "repro serve did not stop cleanly on SIGTERM (exit $status):"
+        cat "$leg/serve.log"
+        exit 1
+    fi
+    echo "SIGTERM: exit 0, no traceback in the log"
+    if [ -n "$(ls -A "$leg/serve-tmp")" ]; then
+        echo "repro serve left files in its TMPDIR after SIGTERM:"
+        ls -A "$leg/serve-tmp"
+        exit 1
+    fi
+    echo "TMPDIR empty after SIGTERM"
+}
+
+check_leg clean 0
+
+export REPRO_FAULT_TRANSIENT=0.2 REPRO_FAULT_ATTEMPTS=3 REPRO_FAULT_SEED=6
+export REPRO_FAULT_WORKLOADS="$WORKLOAD"
+check_leg faulted 1
+
 echo "serve check OK"

@@ -61,26 +61,9 @@ class GroundTruth:
             faults=faults,
             catalog=self.catalog,
         )
-        self.collector = self.campaign.collector
         self.store = ArtifactStore(store) if isinstance(store, str) else store
         self._runtime_cache: dict[str, np.ndarray] = {}
         self._vm_index = {vm.name: i for i, vm in enumerate(self.vms)}
-
-    def prefetch(self, specs: tuple[WorkloadSpec, ...]) -> int:
-        """Warm the campaign for many workloads in one batched wave.
-
-        Uncovered (workload × VM) cells fan out through the campaign's
-        vectorized batch path; subsequent :meth:`runtimes` calls are pure
-        memo hits.  Returns the number of cells computed.
-        """
-        shared = shared_perf_rows(self.store, self.campaign, self.vms)
-        cells = [
-            (spec, vm, True)
-            for spec in specs
-            if spec.name not in self._runtime_cache and spec.name not in shared
-            for vm in self.vms
-        ]
-        return self.campaign.prefetch(cells) if cells else 0
 
     def runtimes(self, spec: WorkloadSpec) -> np.ndarray:
         """P90 runtime of ``spec`` on every VM type (cached).

@@ -126,7 +126,6 @@ class Paris:
             faults=faults,
             catalog=self.catalog,
         )
-        self.collector = self.campaign.collector
         self.store = ArtifactStore(store) if isinstance(store, str) else store
         self.seed = seed
         self._forest = RandomForestRegressor(n_estimators=n_estimators, seed=seed)

@@ -650,9 +650,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         learn_store=args.learn_store,
         learn_interval_s=args.learn_interval,
     )
-    server = serve(
-        service, args.host, args.port, verbose=args.verbose, background=True
-    )
+    server = serve(service, args.host, args.port, verbose=args.verbose)
     host, port = server.address
     tier = f"{args.shards} shard{'s' if args.shards != 1 else ''}"
     print(f"serving selector 'default' (fingerprint {handle.fingerprint}, "
@@ -665,8 +663,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"(store: {args.learn_store or 'in-memory'})")
     print('   POST /select   {"workload": "spark-lr"}')
     print("   GET  /healthz  GET /statsz        (Ctrl-C to stop)")
+    import signal
     import time
 
+    # SIGTERM takes Ctrl-C's path, so a terminated server still closes
+    # its service and tells its shard workers to stop.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         while True:
             time.sleep(3600)

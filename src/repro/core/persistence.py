@@ -159,7 +159,7 @@ def knowledge_state(
     meta = {
         "format_version": FORMAT_VERSION,
         "hyperparams": {name: getattr(selector, name) for name in _HYPERPARAMS},
-        "repetitions": selector.collector.repetitions,
+        "repetitions": selector.campaign.repetitions,
         "sources": [w.name for w in selector.sources],
         "vms": [vm.name for vm in selector.vms],
         "label_features": list(selector.label_space.feature_names),

@@ -51,7 +51,7 @@ from repro.core.cmf import CMF, CMFResult
 from repro.core.pipeline import NEAR_BEST_TAU, KnowledgePipeline
 from repro.core.sandbox import choose_probe_vms, choose_sandbox_vm
 from repro.errors import ProbeFailedError, ValidationError
-from repro.telemetry.campaign import ProfileCache, ProfilingCampaign
+from repro.telemetry.campaign import ProfileCache, ProfilingCampaign, outcome_value
 from repro.workloads.catalog import training_set
 from repro.workloads.spec import WorkloadSpec
 
@@ -85,10 +85,10 @@ def _probe_plan(
 ) -> tuple[VMType, tuple[VMType, ...]]:
     """Deterministic sandbox + probe VM choice for one target workload.
 
-    :meth:`VestaSelector.online_many` computes it once per target for
-    its prefetch and hands it to the session; a lone session computes
-    it itself.  Either way a batch profiles exactly the cells a sequence
-    of individual sessions would.
+    :meth:`VestaSelector.online_many` computes it once per target, reads
+    the target's cells in its wave and hands plan and outcomes to the
+    session; :meth:`VestaSelector.online` is a wave of one.  So a batch
+    profiles exactly the cells a sequence of individual sessions would.
     """
     sandbox = choose_sandbox_vm(spec, selector.vms)
     # zlib.crc32, not hash(): Python string hashing is randomized per
@@ -112,8 +112,13 @@ class Recommendation:
     how many distinct VM types the target workload was actually run on.
     ``degraded`` flags a selection that survived permanent probe failures
     by proceeding with the surviving observations (down to sandbox-only);
-    ``failed_probes`` names the lost probes and ``fault_events`` is the
-    fault log of the whole online phase.
+    ``failed_probes`` names the lost probes.  ``fault_events`` are the
+    fault events of the runs the session observed — sandbox, probes,
+    then each :meth:`~OnlineSession.observe`/:meth:`~OnlineSession.step`
+    read, in that order — whichever wave ran them, so a served answer
+    equals a fresh :meth:`VestaSelector.select`.  A cell served from the
+    persistent profile cache contributes none: the cache stores values
+    only.
     """
 
     workload: str
@@ -132,9 +137,13 @@ class Recommendation:
 class OnlineSession:
     """Online predicting state for one target workload (Section 4.2).
 
-    Created via :meth:`VestaSelector.online`.  Holds the probe
-    observations, the CMF-completed workload-label row, and exposes
-    incremental refinement: :meth:`observe` adds a measured VM,
+    Created via :meth:`VestaSelector.online_many` (or
+    :meth:`VestaSelector.online`, a wave of one), which reads the
+    sandbox and probe cells in one campaign wave, hands each session its
+    own cells' ``(outcome, fault_events)`` and completes the rows
+    together.  Holds the probe observations, the CMF-completed
+    workload-label row, the fault events of the runs it observed, and
+    exposes incremental refinement: :meth:`observe` adds a measured VM,
     :meth:`step` greedily measures the current predicted-best VM —
     the search progression plotted in Figures 12/13.
 
@@ -153,49 +162,47 @@ class OnlineSession:
         self,
         selector: "VestaSelector",
         spec: WorkloadSpec,
-        *,
-        _wave_plan: tuple[VMType, tuple[VMType, ...]] | None = None,
+        plan: tuple[VMType, tuple[VMType, ...]],
+        outcomes,
     ) -> None:
         self._sel = selector
         self.spec = spec
-        # A wave member (see VestaSelector.online_many) receives the plan
-        # the wave's prefetch used, and the wave completes its row.
-        self.sandbox_vm, self.probe_vms = _wave_plan or _probe_plan(selector, spec)
+        self.sandbox_vm, self.probe_vms = plan
         self.observations: dict[str, float] = {}
         self.converged = True
         self.degraded = False
         self.failed_probes: tuple[str, ...] = ()
         self.effective_match_threshold = selector.match_threshold
         self._failed_observations: set[str] = set()
-        self._fault_log_start = len(selector.campaign.fault_log)
+        self._events: list[FaultEvent] = []
         self._row: np.ndarray | None = None
         self._predicted_runtimes: np.ndarray | None = None
         self._predicted_budgets: np.ndarray | None = None
-        self._collect_observations()
-        if _wave_plan is None:
-            result = selector.complete_rows(
-                self._sparse_row[None, :], self._mask[None, :]
-            )[0]
-            self._complete_row(result)
+        self._collect_observations(outcomes)
 
     # -- initialization -----------------------------------------------------------
 
-    def _collect_observations(self) -> None:
-        """Sandbox + probe profiling: build the sparse target row."""
+    def _collect_observations(self, outcomes) -> None:
+        """Adopt the sandbox + probe outcomes: build the sparse target row.
+
+        ``outcomes`` holds the campaign's ``(outcome, fault_events)`` for
+        the sandbox cell, then for each probe cell.
+        """
         sel = self._sel
-        profile = sel.campaign.collect(self.spec, self.sandbox_vm)
+        (profile, events), *probes = outcomes
+        self._events.extend(events)
+        profile = outcome_value(profile)
         corr = sel.signature_from_profile(profile)
         self.correlation_vector = corr
         self.observations[self.sandbox_vm.name] = profile.runtime_p90
         failed: list[str] = []
-        for vm in self.probe_vms:
-            try:
-                self.observations[vm.name] = sel.campaign.runtime_only(self.spec, vm)
-            except ProbeFailedError:
-                # Permanently lost probe: the run's transient/permanent
-                # events are already in the campaign fault log; proceed
-                # with the surviving observations.
+        for vm, (runtime, events) in zip(self.probe_vms, probes):
+            self._events.extend(events)
+            if isinstance(runtime, ProbeFailedError):
+                # Permanently lost probe: proceed with the survivors.
                 failed.append(vm.name)
+            else:
+                self.observations[vm.name] = outcome_value(runtime)
         self.failed_probes = tuple(failed)
         self._failed_observations.update(failed)
         if failed:
@@ -251,8 +258,12 @@ class OnlineSession:
 
     @property
     def fault_events(self) -> tuple[FaultEvent, ...]:
-        """Fault events observed during this session's profiling runs."""
-        return tuple(self._sel.campaign.fault_log[self._fault_log_start:])
+        """Fault events of the runs this session observed, in read order.
+
+        Sandbox, probes, then each :meth:`observe` read; a cell the
+        persistent profile cache served carries none.
+        """
+        return tuple(self._events)
 
     def _invalidate_predictions(self) -> None:
         """Drop memoized prediction vectors (new observation or new row)."""
@@ -325,14 +336,14 @@ class OnlineSession:
         name = vm if isinstance(vm, str) else vm.name
         index = self._sel.vm_index(name)  # validates once, reused below
         if name not in self.observations:
-            try:
-                self.observations[name] = self._sel.campaign.runtime_only(
-                    self.spec, self._sel.vms[index]
-                )
-            except ProbeFailedError:
+            ((runtime, events),) = self._sel.campaign.prefetch(
+                [(self.spec, self._sel.vms[index], True)]
+            )
+            self._events.extend(events)
+            if isinstance(runtime, ProbeFailedError):
                 self._failed_observations.add(name)
                 self.degraded = True
-                raise
+            self.observations[name] = outcome_value(runtime)
             self._invalidate_predictions()
         return self.observations[name]
 
@@ -523,7 +534,6 @@ class VestaSelector:
             faults=faults,
             catalog=self.catalog,
         )
-        self.collector = self.campaign.collector
         if store is None or isinstance(store, ArtifactStore):
             self.store = store
         else:
@@ -810,10 +820,9 @@ class VestaSelector:
     # -- online phase ---------------------------------------------------------------------
 
     def online(self, spec: WorkloadSpec) -> OnlineSession:
-        """Open an online predicting session for a target workload."""
-        if not self._fitted:
-            raise ValidationError("VestaSelector is not fitted; call fit() first")
-        return OnlineSession(self, spec)
+        """Open an online predicting session for a target workload: a
+        wave of one (see :meth:`online_many`)."""
+        return self.online_many((spec,))[0]
 
     def select(self, spec: WorkloadSpec, objective: str = "time") -> Recommendation:
         """One-shot best-VM selection (sandbox + probes + CMF + predict)."""
@@ -822,25 +831,29 @@ class VestaSelector:
     def online_many(self, specs) -> tuple[OnlineSession, ...]:
         """Open online sessions for a batch of targets in one wave.
 
-        All sandbox and probe profiling runs of the whole batch go
-        through the campaign in a single prefetch wave (one serial session
-        profiles 1 + ``probes`` cells at a time), then every target row is
-        completed in one :meth:`complete_rows` call — a single batched
-        solve under ``cmf_mode="foldin"``.  Results are bit-identical to
-        opening the sessions one by one.
+        All sandbox and probe cells of the whole batch are read through
+        the campaign in one :meth:`~ProfilingCampaign.prefetch` wave, and
+        each session is built from its own cells' outcomes and fault
+        events; then every target row is completed in one
+        :meth:`complete_rows` call — a single batched solve under
+        ``cmf_mode="foldin"``.  Results, fault events included, are
+        bit-identical to opening the sessions one by one.  A session
+        whose sandbox run failed raises that failure, the first in
+        target order.
         """
         if not self._fitted:
             raise ValidationError("VestaSelector is not fitted; call fit() first")
-        specs = tuple(specs)
-        plans = [_probe_plan(self, spec) for spec in specs]
+        plans = [(spec, _probe_plan(self, spec)) for spec in specs]
         cells: list[tuple[WorkloadSpec, VMType, bool]] = []
-        for spec, (sandbox, probes) in zip(specs, plans):
+        for spec, (sandbox, probes) in plans:
             cells.append((spec, sandbox, False))
             cells.extend((spec, vm, True) for vm in probes)
-        self.campaign.prefetch(cells)
+        outcomes = iter(self.campaign.prefetch(cells))
         sessions = tuple(
-            OnlineSession(self, spec, _wave_plan=plan)
-            for spec, plan in zip(specs, plans)
+            OnlineSession(
+                self, spec, plan, [next(outcomes) for _ in range(1 + len(plan[1]))]
+            )
+            for spec, plan in plans
         )
         if sessions:
             rows = np.vstack([s._sparse_row for s in sessions])

@@ -10,10 +10,11 @@ requests actually runs against a selector is an execution backend:
   process which serves it from a selector replica; each shard of a
   :class:`~repro.service.shards.ShardRouter` owns one.  The knowledge
   reaches the worker through its pipe, as the ``(meta, arrays)`` pair
-  of :func:`~repro.core.persistence.knowledge_state`, whenever the
-  worker does not hold the wave's fingerprint; the worker rebuilds its
-  replica with :func:`~repro.core.persistence.restore_knowledge`, the
-  one restore path archives and clones take.  So a hot-reload swaps
+  of :func:`~repro.core.persistence.knowledge_state` plus the selector's
+  fault plan, whenever the worker does not hold the wave's fingerprint;
+  the worker rebuilds its replica with
+  :func:`~repro.core.persistence.restore_knowledge`, the one restore
+  path archives and clones take.  So a hot-reload swaps
   the worker's selector on the next wave, and no file is written.
 
 Both backends return one outcome per request — a
@@ -29,6 +30,7 @@ import multiprocessing
 import traceback
 from typing import TYPE_CHECKING
 
+from repro.cloud.faults import FaultPlan
 from repro.core.persistence import knowledge_state, restore_knowledge
 from repro.errors import FaultInjectionError, ReproError, ServiceError
 
@@ -46,12 +48,13 @@ def _recommend_all(selector, requests, on_session=None) -> list:
     """Serve ``[(spec, objective), ...]``; one outcome per request.
 
     One batched online wave — :meth:`VestaSelector.online_many`, proven
-    bit-identical to opening the sessions one at a time.  A permanently
-    failed profiling run inside the wave poisons the whole wave, so on
-    :class:`FaultInjectionError` the batch degrades to individual
-    sessions — deterministic, because profiling is memoized per cell and
-    sessions are independent — and only the requests whose own runs fail
-    get the error.
+    bit-identical to opening the sessions one at a time, fault events
+    included: each session carries the events of its own runs.  Failed
+    probes only degrade their session, but a permanently failed sandbox
+    run raises out of the whole wave, so on :class:`FaultInjectionError`
+    the batch degrades to individual sessions — waves of one whose cells
+    are all memo hits, outcomes and events alike — and only the requests
+    whose own sandbox failed get the error.
 
     ``on_session(session, objective)`` is invoked for every session that
     produced a recommendation — the knowledge lifecycle's journal hook.
@@ -116,24 +119,30 @@ def _pool_worker(conn) -> None:
     """Worker-process loop: restore the replica it is sent, serve waves.
 
     Each message is ``(fingerprint, state, requests)``.  ``state`` is the
-    knowledge's ``(meta, arrays)`` pair when the parent found this worker
-    not holding ``fingerprint``, else ``None`` (serve from the held
-    replica).  The worker keeps one replica — a reload frees the
-    superseded version's session state — and replies ``(held, outcomes)``
-    with the fingerprint it now holds, ``None`` after a failed restore.
-    Any exception a wave raises becomes that wave's answer, so one bad
-    wave never takes the worker down.
+    knowledge's ``(meta, arrays)`` pair plus the fault plan the parent's
+    selector runs, when the parent found this worker not holding
+    ``fingerprint``, else ``None`` (serve from the held replica).  The
+    worker keeps one replica — a reload frees the superseded version's
+    session state — and replies ``(held, outcomes)`` with the fingerprint
+    it now holds, ``None`` after a failed restore.  Any exception a wave
+    raises becomes that wave's answer, so one bad wave never takes the
+    worker down.  The loop ends on ``None``, or quietly when the pipe
+    closes: the parent died without saying goodbye.
     """
     held, selector = None, None
     while True:
-        message = conn.recv()
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
         if message is None:
             return
         fingerprint, state, requests = message
         try:
             if state is not None:
                 held = selector = None  # a failed restore holds nothing
-                selector = restore_knowledge(*state)
+                meta, arrays, faults = state
+                selector = restore_knowledge(meta, arrays, faults=faults)
                 held = fingerprint
             outcomes = _recommend_all(selector, requests)
         except ReproError as exc:
@@ -156,8 +165,11 @@ class ProcessPoolBackend:
     threads.  A wave carries the handle's fingerprint, plus the
     knowledge state whenever the worker does not hold that fingerprint:
     on the first wave, after a reload, after a restart and after a
-    failed restore.  The (fingerprint, state) pair is fixed before the
-    wave ships, so no wave ever mixes knowledge versions.
+    failed restore.  The state carries the selector's fault plan
+    (:meth:`FaultPlan.none` when it runs none), so the replica answers
+    as the parent's own sessions would.  The (fingerprint, state) pair is
+    fixed before the wave ships, so no wave ever mixes knowledge
+    versions.
 
     A worker that misses the wave deadline (:data:`WAVE_TIMEOUT_S`) is
     terminated and replaced, so its late reply can never be read as a
@@ -196,7 +208,13 @@ class ProcessPoolBackend:
         if not self._proc.is_alive():
             self._restart()
         fingerprint = handle.fingerprint
-        state = None if self._held == fingerprint else knowledge_state(handle.selector)
+        state = None
+        if self._held != fingerprint:
+            selector = handle.selector
+            # The replica must run the parent's plan: no plan becomes an
+            # explicit none(), or a spot catalog would derive its own.
+            faults = selector.campaign.faults or FaultPlan.none()
+            state = (*knowledge_state(selector), faults)
         try:
             self._conn.send((fingerprint, state, list(requests)))
             if not self._conn.poll(self._timeout_s):

@@ -384,26 +384,15 @@ def serve(
     port: int = 0,
     *,
     verbose: bool = False,
-    background: bool = True,
 ) -> ServiceHTTPServer:
-    """Start an HTTP frontend for ``service``.
+    """Start an HTTP frontend for ``service`` on a daemon thread.
 
-    With ``background=True`` (default) the accept loop runs on a daemon
-    thread and the bound server is returned immediately — the pattern
-    tests and embedders use.  ``background=False`` blocks in
-    ``serve_forever`` until interrupted.
+    Returns the bound server immediately; :meth:`ServiceHTTPServer.close`
+    stops it.
     """
     server = ServiceHTTPServer(service, host, port, verbose=verbose)
-    if background:
-        thread = threading.Thread(
-            target=server.serve_forever, name="select-http", daemon=True
-        )
-        thread.start()
-    else:
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover - interactive path
-            pass
-        finally:
-            server.close()
+    thread = threading.Thread(
+        target=server.serve_forever, name="select-http", daemon=True
+    )
+    thread.start()
     return server

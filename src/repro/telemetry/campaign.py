@@ -13,12 +13,20 @@ performance matrix.  :class:`ProfilingCampaign` makes that sweep
   are bit-identical to the serial path regardless of worker count or
   completion order — workers return ``(index, result)`` and the grid is
   reassembled by index;
-- **memoized**: a content-addressed :class:`ProfileCache` layered on
-  :class:`~repro.telemetry.store.MetricsStore` (sqlite, WAL mode when
-  file-backed).  Cache keys are digests over (workload spec, VM, nodes,
-  seed, repetitions, sample period, noise-model fingerprint); a hit skips
-  simulation entirely.  Entries carry their fingerprint, so a changed
-  noise model invalidates the previous generation (pruned at open).
+- **memoized**: every read — a single cell, a grid, or a serving wave's
+  heterogeneous cells — goes through one wave: look each cell up in the
+  in-process memo, then in a content-addressed :class:`ProfileCache`
+  layered on :class:`~repro.telemetry.store.MetricsStore` (sqlite, WAL
+  mode when file-backed), and run the misses through one batch.  The
+  memo holds each cell's *outcome* — its value, or the
+  :class:`~repro.errors.ProbeFailedError` /
+  :class:`~repro.errors.OutOfMemoryError` its run ended in — with the
+  fault events of that run, so a reader sees the same outcome and events
+  however often and in whichever wave it asks.  Cache keys are digests
+  over (workload spec, VM, nodes, seed, repetitions, sample period,
+  noise-model fingerprint); a hit skips simulation entirely.  Entries
+  carry their fingerprint, so a changed noise model invalidates the
+  previous generation (pruned at open).
 
 Campaign progress and hit-rate counters are surfaced through
 :class:`repro.telemetry.metrics.CampaignCounters`.
@@ -47,7 +55,7 @@ from repro.cloud.catalog import (
 from repro.cloud.faults import FaultEvent, FaultPlan
 from repro.cloud.noise import CloudNoiseModel
 from repro.cloud.vmtypes import VMType, get_vm_type
-from repro.errors import ValidationError
+from repro.errors import ReproError, ValidationError
 from repro.telemetry.collector import (
     DEFAULT_REPETITIONS,
     DataCollector,
@@ -62,8 +70,13 @@ __all__ = [
     "ProfilingCampaign",
     "ProfileCache",
     "noise_fingerprint",
+    "outcome_value",
     "profile_cache_key",
 ]
+
+#: One read cell: its outcome — the value, or the error its run ended
+#: in — and the fault events of that run.
+Outcome = tuple[WorkloadProfile | float | ReproError, tuple[FaultEvent, ...]]
 
 #: Bump to invalidate every existing cache when the simulator's observable
 #: behaviour changes in ways the fingerprint inputs don't capture.
@@ -151,6 +164,18 @@ def profile_cache_key(
         )
     )
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def outcome_value(outcome: WorkloadProfile | float | ReproError) -> WorkloadProfile | float:
+    """The value a cell's outcome holds; raises the error it holds instead.
+
+    The memo keeps one error instance per failed cell, so it is raised
+    without the traceback of an earlier read, which would otherwise grow
+    with every re-raise.
+    """
+    if isinstance(outcome, ReproError):
+        raise outcome.with_traceback(None)
+    return outcome
 
 
 def _stream_seed_batch(triples: list[tuple[str, str, int]]) -> list[int]:
@@ -287,9 +312,7 @@ class _Task:
     pricing: PricingModel | None = None
 
 
-def _run_batch(
-    tasks: list[_Task],
-) -> list[tuple[int, WorkloadProfile | float | None, tuple[FaultEvent, ...]]]:
+def _run_batch(tasks: list[_Task]) -> list[tuple[int, Outcome]]:
     """Profile a chunk of grid cells, inline or as a pool worker's unit.
 
     Cells sharing a collector configuration are evaluated through one
@@ -298,10 +321,9 @@ def _run_batch(
     cell — which is where the campaign's ≥10x cold-cache speedup lives.
     Each chunk builds its own collectors; the per-triple stream seeds
     make the result identical to the scalar path whichever process runs
-    it, and observed fault events ride back with each result so the
-    parent campaign's counters stay exact.  A failed cell comes back as
-    ``(index, None, ())``, uncomputed, so the parent replays it serially
-    where the serial path would have met it.
+    it.  Each cell comes back as ``(index, (outcome, fault_events))``:
+    a failed cell's outcome is its error, and the events of every run
+    ride back so the parent campaign's log stays exact.
     """
     groups: dict[tuple, list[_Task]] = {}
     for t in tasks:
@@ -313,7 +335,7 @@ def _run_batch(
             id(t.pricing),
         )
         groups.setdefault(key, []).append(t)
-    out: list[tuple[int, WorkloadProfile | float | None, tuple[FaultEvent, ...]]] = []
+    out: list[tuple[int, Outcome]] = []
     for group in groups.values():
         head = group[0]
         collector = DataCollector(
@@ -324,14 +346,9 @@ def _run_batch(
             pricing=head.pricing,
         )
         results = collector.profile_many(
-            [(t.spec, t.vm, t.nodes, t.runtime_only) for t in group],
-            capture=True,
+            [(t.spec, t.vm, t.nodes, t.runtime_only) for t in group]
         )
-        for t, res in zip(group, results):
-            if res is None:
-                out.append((t.index, None, ()))
-            else:
-                out.append((t.index, res[0], res[1]))
+        out.extend((t.index, result) for t, result in zip(group, results))
     return out
 
 
@@ -341,9 +358,9 @@ class ProfilingCampaign:
     Drop-in faster equivalent of looping
     :meth:`DataCollector.collect`/:meth:`DataCollector.runtime_only` over
     a (workload × VM type) grid: results are bit-identical to the serial
-    path for any grid iteration order.  Each wave of missed cells sizes
-    its own worker count (see :meth:`_execute`), so there is nothing to
-    tune.
+    path for any grid iteration order.  Every read goes through one wave
+    (:meth:`_wave`), and each wave of missed cells sizes its own worker
+    count (see :meth:`_execute`), so there is nothing to tune.
 
     Parameters
     ----------
@@ -352,8 +369,9 @@ class ProfilingCampaign:
     cache:
         ``None`` (no persistence), a sqlite path, or a ready
         :class:`ProfileCache`.  Independent of the persistent layer, the
-        campaign memoizes results in-process so repeated grid requests
-        within one run never recompute.
+        campaign memoizes each cell's outcome in-process, with the fault
+        events of its run, so repeated reads within one run never
+        recompute.
     faults:
         Optional :class:`~repro.cloud.faults.FaultPlan`.  The default
         (``None`` / a disabled plan) leaves every result — and every
@@ -361,9 +379,11 @@ class ProfilingCampaign:
         folds its fingerprint into the cache address (fault-injected
         results never collide with clean ones), its transient failures
         are retried inside the collectors, and every observed fault is
-        merged into :attr:`counters` and :attr:`fault_log` regardless of
-        which worker process saw it.  Runs that exhaust the retry budget
-        raise :class:`~repro.errors.ProbeFailedError`.
+        merged into :attr:`counters` and :attr:`fault_log` once, when its
+        run is memoized, regardless of which worker process saw it.  A
+        run that exhausts the retry budget ends in
+        :class:`~repro.errors.ProbeFailedError`: the value readers raise
+        it, :meth:`prefetch` returns it.
     catalog:
         Optional :class:`~repro.cloud.catalog.ProviderCatalog` (or
         registry name).  Resolves string VM names, supplies the billing
@@ -401,15 +421,7 @@ class ProfilingCampaign:
         self.faults = faults if faults is not None and faults.enabled else None
         self.counters = CampaignCounters()
         self.fault_log: list[FaultEvent] = []
-        self.collector = DataCollector(
-            repetitions=repetitions,
-            seed=seed,
-            sample_period_s=sample_period_s,
-            faults=self.faults,
-            pricing=self.pricing,
-            catalog=self.catalog,
-        )
-        self._memo: dict[str, WorkloadProfile | float] = {}
+        self._memo: dict[str, Outcome] = {}
 
     # -- single-pair API ---------------------------------------------------------
 
@@ -417,13 +429,13 @@ class ProfilingCampaign:
         self, spec: WorkloadSpec, vm: VMType | str, *, nodes: int | None = None
     ) -> WorkloadProfile:
         """Cached equivalent of :meth:`DataCollector.collect`."""
-        return self._single(spec, vm, nodes, runtime_only=False)
+        return self._values([(spec, vm, False)], nodes)[0]
 
     def runtime_only(
         self, spec: WorkloadSpec, vm: VMType | str, *, nodes: int | None = None
     ) -> float:
         """Cached equivalent of :meth:`DataCollector.runtime_only`."""
-        return self._single(spec, vm, nodes, runtime_only=True)
+        return self._values([(spec, vm, True)], nodes)[0]
 
     # -- grid API ---------------------------------------------------------------------
 
@@ -435,8 +447,9 @@ class ProfilingCampaign:
         nodes: int | None = None,
     ) -> np.ndarray:
         """``(len(specs), len(vms))`` P90 runtimes, computed in parallel."""
-        specs, vm_names, results = self._grid(specs, vms, nodes, runtime_only=True)
-        return np.asarray(results, dtype=float).reshape(len(specs), len(vm_names))
+        specs, vms = tuple(specs), [self._resolve_vm(vm) for vm in vms]
+        values = self._values([(s, vm, True) for s in specs for vm in vms], nodes)
+        return np.asarray(values, dtype=float).reshape(len(specs), len(vms))
 
     def collect_grid(
         self,
@@ -446,86 +459,27 @@ class ProfilingCampaign:
         nodes: int | None = None,
     ) -> dict[tuple[str, str], WorkloadProfile]:
         """Full profiles for every grid cell, keyed ``(workload, vm_name)``."""
-        specs, vm_names, results = self._grid(specs, vms, nodes, runtime_only=False)
-        return {
-            (spec.name, vm_name): results[i * len(vm_names) + j]
-            for i, spec in enumerate(specs)
-            for j, vm_name in enumerate(vm_names)
-        }
+        vms = [self._resolve_vm(vm) for vm in vms]
+        cells = [(s, vm, False) for s in specs for vm in vms]
+        values = self._values(cells, nodes)
+        return {(s.name, vm.name): v for (s, vm, _), v in zip(cells, values)}
 
-    def prefetch(
-        self,
-        cells,
-        *,
-        nodes: int | None = None,
-    ) -> int:
-        """Warm the memo/cache for a heterogeneous batch of cells.
+    def prefetch(self, cells, *, nodes: int | None = None) -> list[Outcome]:
+        """Read a heterogeneous batch of cells in one wave; never raises
+        for a failed run.
 
         ``cells`` is an iterable of ``(spec, vm, runtime_only)`` — unlike
         the rectangular grid API, each cell chooses its own kind, which is
         exactly the shape of a batched online wave (one full sandbox
-        profile plus ``probes`` runtime-only cells per target).  Misses
-        run as a single wave; subsequent :meth:`collect`/:meth:`runtime_only`
-        calls for the same cells are pure memo hits, so results stay
-        bit-identical to the serial path.
-
-        Runs speculatively: a cell whose run fails permanently (or does
-        not fit in memory) is left uncomputed (its fault events are
-        dropped) so the consumer's own retry reproduces the failure — and
-        its events — deterministically.  Returns the number of cells
-        computed.
+        profile plus ``probes`` runtime-only cells per target).  Returns
+        each cell's ``(outcome, fault_events)``: the outcome is the value,
+        or the :class:`~repro.errors.ProbeFailedError` /
+        :class:`~repro.errors.OutOfMemoryError` its run ended in, and the
+        events are those of that run, whichever wave ran it.  A cell
+        served from the persistent :class:`ProfileCache` carries no
+        events: the cache stores values only.
         """
-        start = time.perf_counter()
-        pending: list[tuple[_Task, str]] = []
-        seen: set[str] = set()
-        for spec, vm, runtime_only in cells:
-            vm = self._resolve_vm(vm)
-            kind = "p90" if runtime_only else "profile"
-            key = self._key(spec, vm, nodes, kind)
-            if key in seen:
-                continue
-            seen.add(key)
-            self.counters.scheduled += 1
-            if self._lookup(key, runtime_only) is not None:
-                self.counters.cache_hits += 1
-                continue
-            self.counters.cache_misses += 1
-            pending.append(
-                (
-                    _Task(
-                        index=len(pending),
-                        spec=spec,
-                        vm=vm,
-                        nodes=nodes,
-                        seed=self.seed,
-                        repetitions=self.repetitions,
-                        sample_period_s=self.sample_period_s,
-                        runtime_only=runtime_only,
-                        faults=self.faults,
-                        pricing=self.pricing,
-                    ),
-                    key,
-                )
-            )
-        computed = 0
-        if pending:
-            key_by_index = {task.index: key for task, key in pending}
-            task_by_index = {task.index: task for task, _ in pending}
-            # Sorted by cell index so the fault log reads in request order
-            # whatever the workers' completion order was.
-            for idx, value, events in sorted(
-                self._execute([t for t, _ in pending]), key=lambda r: r[0]
-            ):
-                if value is None:
-                    continue  # failed speculative run: consumer retries
-                self._store(
-                    key_by_index[idx], value, task_by_index[idx].runtime_only
-                )
-                self._absorb_events(events)
-                self.counters.computed += 1
-                computed += 1
-        self.counters.elapsed_s += time.perf_counter() - start
-        return computed
+        return self._wave(cells, nodes)
 
     # -- internals ---------------------------------------------------------------------
 
@@ -586,123 +540,86 @@ class ProfilingCampaign:
             kind=kind,
         )
 
-    def _lookup(self, key: str, runtime_only: bool) -> WorkloadProfile | float | None:
-        if key in self._memo:
-            return self._memo[key]
-        if self.cache is None:
+    def _lookup(self, key: str, runtime_only: bool) -> Outcome | None:
+        hit = self._memo.get(key)
+        if hit is not None or self.cache is None:
+            return hit
+        value = self.cache.get_runtime(key) if runtime_only else self.cache.get_profile(key)
+        if value is None:
             return None
-        hit = self.cache.get_runtime(key) if runtime_only else self.cache.get_profile(key)
-        if hit is not None:
-            self._memo[key] = hit
+        hit = self._memo[key] = (value, ())
         return hit
 
-    def _store(self, key: str, value: WorkloadProfile | float, runtime_only: bool) -> None:
-        self._memo[key] = value
-        if self.cache is not None:
-            if runtime_only:
-                self.cache.put_runtime(key, value)
-            else:
-                self.cache.put_profile(key, value)
+    def _values(self, cells, nodes: int | None) -> list:
+        """Read cells like a serial loop: values, or the first failure raised."""
+        return [outcome_value(value) for value, _ in self._wave(cells, nodes, serial=True)]
 
-    def _single(
-        self,
-        spec: WorkloadSpec,
-        vm: VMType | str,
-        nodes: int | None,
-        *,
-        runtime_only: bool,
-    ) -> WorkloadProfile | float:
+    def _wave(self, cells, nodes: int | None, *, serial: bool = False) -> list[Outcome]:
+        """The one read path: ``(outcome, fault_events)`` per cell.
+
+        Each distinct cell is looked up in the memo, then the persistent
+        cache; the misses run through one :meth:`_execute`, and each of
+        their outcomes is memoized with its run's fault events, which
+        reach :attr:`fault_log` and :attr:`counters` in cell order.
+
+        ``serial`` keeps a serial loop's books for a reader that raises
+        the first failure in cell order: planning stops at a memoized
+        failure, so no later miss runs (the list then ends there), and of
+        the misses that ran only those up to the first failure are
+        memoized and logged.
+        """
         start = time.perf_counter()
-        vm = self._resolve_vm(vm)
-        key = self._key(spec, vm, nodes, "p90" if runtime_only else "profile")
-        self.counters.scheduled += 1
-        hit = self._lookup(key, runtime_only)
-        if hit is not None:
-            self.counters.cache_hits += 1
-            self.counters.elapsed_s += time.perf_counter() - start
-            return hit
-        self.counters.cache_misses += 1
-        value = self._run_cell(spec, vm, nodes, runtime_only)
-        self.counters.computed += 1
-        self._store(key, value, runtime_only)
-        self.counters.elapsed_s += time.perf_counter() - start
-        return value
-
-    def _run_cell(
-        self, spec: WorkloadSpec, vm: VMType, nodes: int | None, runtime_only: bool
-    ) -> WorkloadProfile | float:
-        """Profile one cell on the serial collector, logging its faults."""
-        try:
-            if runtime_only:
-                return self.collector.runtime_only(spec, vm, nodes=nodes)
-            return self.collector.collect(spec, vm, nodes=nodes)
-        finally:
-            # Drain even when the run failed permanently: the transient
-            # and permanent events must reach the counters either way.
-            self._absorb_events(self.collector.drain_fault_events())
-
-    def _grid(
-        self,
-        specs: tuple[WorkloadSpec, ...],
-        vms: tuple[VMType | str, ...],
-        nodes: int | None,
-        *,
-        runtime_only: bool,
-    ) -> tuple[tuple[WorkloadSpec, ...], list[str], list]:
-        start = time.perf_counter()
-        specs = tuple(specs)
-        resolved = [self._resolve_vm(vm) for vm in vms]
-        vm_names = [vm.name for vm in resolved]
-        kind = "p90" if runtime_only else "profile"
-        results: list[WorkloadProfile | float | None] = [None] * (
-            len(specs) * len(vm_names)
-        )
+        keys: list[str] = []
+        outcomes: dict[str, Outcome | None] = {}
         pending: list[tuple[_Task, str]] = []
-        for i, spec in enumerate(specs):
-            for j, vm in enumerate(resolved):
-                idx = i * len(vm_names) + j
-                key = self._key(spec, vm, nodes, kind)
-                self.counters.scheduled += 1
-                hit = self._lookup(key, runtime_only)
-                if hit is not None:
-                    self.counters.cache_hits += 1
-                    results[idx] = hit
+        for spec, vm, runtime_only in cells:
+            vm = self._resolve_vm(vm)
+            key = self._key(spec, vm, nodes, "p90" if runtime_only else "profile")
+            keys.append(key)
+            if key in outcomes:
+                continue
+            self.counters.scheduled += 1
+            hit = outcomes[key] = self._lookup(key, runtime_only)
+            if hit is None:
+                self.counters.cache_misses += 1
+                task = _Task(
+                    index=len(pending),
+                    spec=spec,
+                    vm=vm,
+                    nodes=nodes,
+                    seed=self.seed,
+                    repetitions=self.repetitions,
+                    sample_period_s=self.sample_period_s,
+                    runtime_only=runtime_only,
+                    faults=self.faults,
+                    pricing=self.pricing,
+                )
+                pending.append((task, key))
+                continue
+            self.counters.cache_hits += 1
+            if serial and isinstance(hit[0], ReproError):
+                break
+        # Sorted by task index, which is cell order, so the fault log
+        # reads in cell order whatever the workers' completion order.
+        ran = sorted(self._execute([task for task, _ in pending]), key=lambda r: r[0])
+        keep = True
+        for (task, key), (_, outcome) in zip(pending, ran):
+            outcomes[key] = outcome
+            if not keep:
+                continue
+            self._memo[key] = outcome
+            value, events = outcome
+            failed = isinstance(value, ReproError)
+            if self.cache is not None and not failed:
+                if task.runtime_only:
+                    self.cache.put_runtime(key, value)
                 else:
-                    self.counters.cache_misses += 1
-                    pending.append(
-                        (
-                            _Task(
-                                index=idx,
-                                spec=spec,
-                                vm=vm,
-                                nodes=nodes,
-                                seed=self.seed,
-                                repetitions=self.repetitions,
-                                sample_period_s=self.sample_period_s,
-                                runtime_only=runtime_only,
-                                faults=self.faults,
-                                pricing=self.pricing,
-                            ),
-                            key,
-                        )
-                    )
-        if pending:
-            by_index = {task.index: (task, key) for task, key in pending}
-            # Sorted by grid index so the fault log reads in grid order
-            # whatever the workers' completion order was.
-            for idx, value, events in sorted(self._execute([t for t, _ in pending])):
-                task, key = by_index[idx]
-                if value is None:
-                    # First failed cell in grid order: replay it serially
-                    # so it raises with its own fault events, as the
-                    # serial loop would; later cells are dropped.
-                    value = self._run_cell(task.spec, task.vm, nodes, runtime_only)
-                results[idx] = value
-                self._store(key, value, runtime_only)
-                self._absorb_events(events)
-                self.counters.computed += 1
+                    self.cache.put_profile(key, value)
+            self._absorb_events(events)
+            self.counters.computed += 1
+            keep = not (serial and failed)
         self.counters.elapsed_s += time.perf_counter() - start
-        return specs, vm_names, results
+        return [outcomes[key] for key in keys]
 
     def _execute(
         self, tasks: list[_Task]

@@ -41,6 +41,7 @@ from repro.cloud.vmtypes import VMType, get_vm_type
 from repro.errors import (
     OutOfMemoryError,
     ProbeFailedError,
+    ReproError,
     TransientRunError,
     ValidationError,
 )
@@ -347,11 +348,8 @@ class DataCollector:
     # -- batched profiling -------------------------------------------------------
 
     def profile_many(
-        self,
-        requests,
-        *,
-        capture: bool = False,
-    ) -> list[tuple[WorkloadProfile | float, tuple[FaultEvent, ...]] | None]:
+        self, requests
+    ) -> list[tuple[WorkloadProfile | float | ReproError, tuple[FaultEvent, ...]]]:
         """Run the profiling protocol for many cells in one vectorized pass.
 
         ``requests`` is a sequence of ``(spec, vm, nodes, runtime_only)``
@@ -363,13 +361,12 @@ class DataCollector:
         protocol's exact order, so every cell's profile / P90 is bitwise
         equal to :meth:`collect` / :meth:`runtime_only` on that cell.
 
-        Returns one ``(value, fault_events)`` pair per cell.  Exceptions
-        reproduce a serial loop over cells: the first cell that fails
-        raises (:class:`OutOfMemoryError` for infeasible placements,
-        :class:`ProbeFailedError` for exhausted fault budgets).  With
-        ``capture=True`` a failed cell — permanently failed or infeasible —
-        instead yields ``None`` (its fault events are discarded), so the
-        campaign's waves can leave it to a serial replay.
+        Returns one ``(outcome, fault_events)`` pair per cell.  The outcome
+        is the cell's value, or the error its run ended in — an
+        :class:`OutOfMemoryError` for an infeasible placement, a
+        :class:`ProbeFailedError` for an exhausted fault budget — with the
+        message and events :meth:`collect` / :meth:`runtime_only` raise
+        and log for that cell.  A failed cell never stops the batch.
         """
         from repro.frameworks.batch import simulate_cells
         from repro.frameworks.registry import resolve_cells
@@ -405,7 +402,7 @@ class DataCollector:
                 sample_period_s=self.sample_period_s,
             )
 
-        out: list[tuple[WorkloadProfile | float, tuple[FaultEvent, ...]] | None] = []
+        out: list[tuple[WorkloadProfile | float | ReproError, tuple[FaultEvent, ...]]] = []
         for i, (spec, _, _, runtime_only) in enumerate(reqs):
             vm_name = clusters[i].vm.name
             stream = _stream_seed(spec.name, vm_name, self.seed)
@@ -426,19 +423,16 @@ class DataCollector:
                             mults[rep], _ = self._faulted_multiplier(
                                 spec, vm_name, rep, float(mults[rep])
                             )
-                    value: WorkloadProfile | float = float(
+                    value: WorkloadProfile | float | ReproError = float(
                         np.percentile(base * mults, P90)
                     )
                 else:
                     value = self._profile_from_batch(
                         spec, clusters[i], sim, i, noise, series_by_cell.get(i)
                     )
-            except (ProbeFailedError, OutOfMemoryError):
-                if not capture:
-                    raise
-                del self.fault_events[first_event:]
-                out.append(None)
-                continue
+            except (ProbeFailedError, OutOfMemoryError) as exc:
+                # Held without its traceback, whose frames pin this batch.
+                value = exc.with_traceback(None)
             out.append((value, tuple(self.fault_events[first_event:])))
         return out
 

@@ -62,10 +62,14 @@ def hog_spec(name="bid-hog"):
 
 def _collect_many(collector, cells, *, nodes=None, runtime_only=False):
     """One :meth:`DataCollector.profile_many` pass over ``(spec, vm)``
-    cells of one kind; the values, without their fault events."""
+    cells of one kind; the values, without their fault events, or the
+    first failed cell's error raised, as a serial loop would."""
     results = collector.profile_many(
         [(spec, vm, nodes, runtime_only) for spec, vm in cells]
     )
+    for value, _ in results:
+        if isinstance(value, Exception):
+            raise value
     return [value for value, _ in results]
 
 
@@ -385,25 +389,30 @@ class TestCollectorBatchIdentity:
             _collect_many(DataCollector(seed=11), cells)
         assert str(batch_exc.value) == str(scalar_exc.value)
 
-    def test_capture_mode_trims_failed_cells(self):
-        plan = FaultPlan(seed=5, transient_prob=0.3, max_attempts=3)
-        probe = DataCollector(seed=11, faults=plan)
-        requests = [(spec, vm, None, True) for spec, vm in self.CELLS]
-        results = probe.profile_many(requests, capture=True)
+    def test_failed_cells_return_error_and_events(self):
+        """A failed cell is returned, not raised: its error and events are
+        what the scalar collector raises and logs for it, and the cells
+        after it still run."""
+        # Seed 2 exhausts the budget on cells 1 and 2; the hog cannot fit.
+        plan = FaultPlan(seed=2, transient_prob=0.3, max_attempts=3)
+        cells = [*self.CELLS, (hog_spec(), "m5.xlarge")]
+        batch = DataCollector(seed=11, faults=plan)
+        results = batch.profile_many([(spec, vm, None, True) for spec, vm in cells])
         scalar = DataCollector(seed=11, faults=plan)
-        for got, (spec, vm) in zip(results, self.CELLS):
+        failed = []
+        for (got, events), (spec, vm) in zip(results, cells):
             base = len(scalar.fault_events)
             try:
                 want = scalar.runtime_only(spec, vm)
-            except ProbeFailedError:
-                del scalar.fault_events[base:]
-                assert got is None
-                continue
-            value, events = got
-            assert value == want
+            except (ProbeFailedError, OutOfMemoryError) as exc:
+                assert type(got) is type(exc)
+                assert str(got) == str(exc)
+                failed.append(type(exc))
+            else:
+                assert got == want
             assert events == tuple(scalar.fault_events[base:])
-        # Captured failures must leave no residue in the shared fault log.
-        assert probe.drain_fault_events() == scalar.drain_fault_events()
+        assert failed == [ProbeFailedError, ProbeFailedError, OutOfMemoryError]
+        assert batch.drain_fault_events() == scalar.drain_fault_events()
 
     def test_seeding_contract_is_order_independent(self):
         """Stream seeds hang off (workload, vm, seed) — not batch position."""

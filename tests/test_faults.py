@@ -13,6 +13,7 @@ Three contracts under test:
    recommendation) instead of crashing it.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -246,6 +247,30 @@ class TestEnabledDeterminism:
         )
         assert grid.fault_log == serial.fault_log
         assert grid.counters.computed == serial.counters.computed
+
+    def test_memoized_failure_ends_a_read_before_any_later_miss(self):
+        """A failed cell is memoized with its events: reading it again
+        raises the same error without running or logging anything, and a
+        grid read that meets it stops there, as a serial loop would."""
+        plan = FaultPlan(transient_prob=0.5, max_attempts=3, seed=3)
+        specs, vms = training_set()[:4], catalog()[:12]
+        campaign = ProfilingCampaign(repetitions=REPS, seed=7, faults=plan)
+        with pytest.raises(ProbeFailedError) as first:
+            campaign.runtime_matrix(specs, vms)
+        spec = next(s for s in specs if s.name == first.value.workload)
+        vm = next(v for v in vms if v.name == first.value.vm_name)
+        log, counters = list(campaign.fault_log), dataclasses.replace(campaign.counters)
+        with pytest.raises(ProbeFailedError) as again:
+            campaign.runtime_matrix((spec,), vms)
+        assert str(again.value) == str(first.value)
+        assert campaign.fault_log == log
+        assert campaign.counters.computed == counters.computed
+        assert campaign.counters.cache_misses == counters.cache_misses
+        assert campaign.counters.scheduled == counters.scheduled + vms.index(vm) + 1
+        ((error, events),) = campaign.prefetch([(spec, vm, True)])
+        assert str(error) == str(first.value)
+        assert events[-len(first.value.events):] == first.value.events
+        assert events == tuple(e for e in log if (e.workload, e.vm_name) == (spec.name, vm.name))
 
     def test_faults_actually_change_results(self):
         clean = ProfilingCampaign(repetitions=REPS, seed=7)

@@ -3,8 +3,9 @@
 Covers the shard router (workload-identity routing, multi-shard
 bit-identity to sequential serving at mixed concurrency, hot-reload
 version isolation, no temp files, each shard's process-pool backend
-and the knowledge it sends its worker only when the worker does not
-hold the wave's fingerprint), the
+and the knowledge and fault plan it sends its worker only when the
+worker does not hold the wave's fingerprint), served answers that equal
+a fresh ``select`` under fault plans on every serving path, the
 scheduler's deadline enforcement at both ends of a wave, deadline-based
 load-shedding under overload, the 429 retry hint on the wire, and the
 thread safety of :class:`DurationSummary`.
@@ -27,8 +28,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.cloud.catalog import get_catalog
+from repro.cloud.faults import FaultPlan
 from repro.cloud.vmtypes import catalog
-from repro.core.persistence import save_selector
+from repro.core.persistence import clone_knowledge, save_selector
 from repro.core.vesta import Recommendation, VestaSelector
 from repro.errors import (
     DeadlineExceededError,
@@ -272,9 +275,9 @@ class TestPoolWorkerReplicaCache:
         restores: list[dict] = []
         real_restore = backend_module.restore_knowledge
 
-        def counting_restore(meta, arrays):
+        def counting_restore(meta, arrays, **kwargs):
             restores.append(meta)
-            return real_restore(meta, arrays)
+            return real_restore(meta, arrays, **kwargs)
 
         monkeypatch.setattr(backend_module, "restore_knowledge", counting_restore)
         backend = ProcessPoolBackend()
@@ -336,6 +339,110 @@ class TestPoolWorkerReplicaCache:
         for name, outcome in zip(names, backend.run(handle, _wave(names))):
             _assert_matches_reference(outcome, reference[(name, "time")])
         assert len(sent) == 2 and len(restores) == 2
+
+
+class TestPoolWorkerFaultPlan:
+    """A worker replica runs the fault plan its parent's selector runs."""
+
+    @pytest.mark.parametrize(
+        "catalog_name, plan",
+        [
+            # Exhausts spark-lr's retry budget on one probe.
+            ("ec2", FaultPlan(
+                transient_prob=0.15, max_attempts=3, seed=2, workloads=TARGETS
+            )),
+            # No plan: the replica must not derive the spot catalog's own.
+            ("ec2-spot", FaultPlan.none()),
+        ],
+        ids=["transient", "spot-without-plan"],
+    )
+    def test_router_answers_like_select_under_the_selectors_plan(
+        self, catalog_name, plan
+    ):
+        kwargs = dict(
+            vms=get_catalog(catalog_name).vms[:24],
+            sources=SOURCES,
+            repetitions=3,
+            seed=SEED,
+            faults=plan,
+            catalog=catalog_name,
+        )
+        reference = VestaSelector(**kwargs).fit()
+        expected = {name: reference.select(get_workload(name)) for name in TARGETS}
+        if plan.enabled:
+            assert expected["spark-lr"].degraded
+        else:
+            assert not any(rec.fault_events for rec in expected.values())
+        registry = SelectorRegistry()
+        registry.register("default", VestaSelector(**kwargs).fit())
+        with ShardRouter(registry, shards=2, rec_cache_size=0) as router:
+            for name, response in zip(TARGETS, router.select_all(TARGETS)):
+                assert response.recommendation == expected[name]
+
+    def test_worker_returns_quietly_when_the_parent_is_gone(self):
+        # A parent that died without sending the stop message leaves the
+        # worker a pipe with no writer: its loop must end, not raise.
+        parent, child = multiprocessing.Pipe()
+        parent.close()
+        try:
+            assert backend_module._pool_worker(child) is None
+        finally:
+            child.close()
+
+
+#: The 12 Spark targets, the selection set the benchmark scores.
+SPARK = tuple(w.name for w in target_set())
+
+#: Exhausts the retry budget on probes of four Spark targets and on no
+#: sandbox run.
+SPARK_TRANSIENT = FaultPlan(
+    transient_prob=0.2, max_attempts=3, seed=5, workloads=SPARK
+)
+
+
+@pytest.fixture(scope="module")
+def spot_selector():
+    """Fold-in selector on the spot catalog, whose interruption plan
+    injects transient faults into its profiling runs."""
+    return VestaSelector(seed=SEED, catalog="ec2-spot", cmf_mode="foldin").fit()
+
+
+class TestServedFaultEvents:
+    """A served answer equals a fresh ``select`` field for field — fault
+    events, ``degraded`` and ``failed_probes`` included — on every
+    serving path."""
+
+    @pytest.mark.parametrize(
+        "plan", [None, SPARK_TRANSIENT], ids=["spot", "transient"]
+    )
+    def test_every_path_answers_like_a_fresh_select(self, spot_selector, plan):
+        def fresh():
+            return clone_knowledge(spot_selector, faults=plan)
+
+        objectives = ("time", "budget")
+        requests = [(name, o) for name in SPARK for o in objectives]
+        expected = [fresh().select(get_workload(n), o) for n, o in requests]
+        assert any(rec.fault_events for rec in expected)
+        if plan is not None:
+            assert any(rec.failed_probes for rec in expected)
+
+        sessions = fresh().online_many([get_workload(name) for name in SPARK])
+        waved = [session.recommend(o) for session in sessions for o in objectives]
+        assert waved == expected
+
+        registry = SelectorRegistry()
+        registry.register("default", fresh())
+        with MicroBatchScheduler(registry, rec_cache_size=0) as scheduler:
+            futures = [scheduler.submit(n, o) for n, o in requests]
+            scheduled = [f.result().recommendation for f in futures]
+        assert scheduled == expected
+
+        registry = SelectorRegistry()
+        registry.register("default", fresh())
+        with ShardRouter(registry, shards=2, rec_cache_size=0) as router:
+            futures = [router.submit(n, o) for n, o in requests]
+            sharded = [f.result().recommendation for f in futures]
+        assert sharded == expected
 
 
 class TestShardHotReload:

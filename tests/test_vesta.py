@@ -48,7 +48,7 @@ class TestOfflineFit:
         assert v.k == 9           # Figure 11
         assert v.lam == 0.75      # Section 5.3
         assert v.probes == 3      # Section 4.2
-        assert v.collector.repetitions == 10  # Section 4.1
+        assert v.campaign.repetitions == 10  # Section 4.1
 
     def test_select_before_fit_rejected(self, spark_lr):
         with pytest.raises(ValidationError):
