@@ -9,12 +9,16 @@ baseline (sequential ``select`` calls — exactly what looping
 ``repro select`` does), asserting the micro-batched service is at least
 2× faster.  It also exercises admission control: a burst larger than
 the queue bound must yield explicit rejections, not latency collapse.
+Its HTTP row times back-to-back memo-hit ``/select`` round trips on one
+keep-alive connection, the path where a reply split across two writes
+waits out the client's delayed ACK.
 
 Numbers land in ``BENCH_serve.json`` at the repo root (same trajectory
 convention as ``BENCH_online.json``) so future PRs can compare.
 """
 
 import json
+import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -25,7 +29,14 @@ from repro.cloud.vmtypes import catalog
 from repro.core.persistence import load_selector, save_selector
 from repro.core.vesta import VestaSelector
 from repro.errors import ServiceOverloadedError
-from repro.service import MicroBatchScheduler, SelectorRegistry, ShardRouter
+from repro.service import (
+    MicroBatchScheduler,
+    SelectionService,
+    SelectorRegistry,
+    ServiceClient,
+    ShardRouter,
+)
+from repro.service.server import serve
 from repro.workloads.catalog import target_set, training_set
 
 SOURCES = training_set()[:6]
@@ -34,6 +45,7 @@ SEED = 7
 TARGETS = target_set()[:8]
 CLIENTS = 8
 REQUESTS = 64  # per measured round
+HTTP_REQUESTS = 200  # back-to-back round trips on one connection
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
 
@@ -307,3 +319,42 @@ def test_overload_burst_rejects_instead_of_collapsing(served):
         serve_queue_limit=limit,
         serve_burst_rejected=rejected,
     )
+
+
+def test_http_keepalive_round_trip(served):
+    """Back-to-back memo-hit ``/select`` round trips on one connection.
+
+    The answer is a memo hit, so the clock measures the HTTP frontend,
+    the wire format and the client.  A reply written as headers then
+    body leaves the body waiting for the client's delayed ACK, about
+    40 ms per request; one write with Nagle off takes well under 1 ms.
+    """
+    _, registry = served
+    server = serve(SelectionService(registry), port=0)
+    client = ServiceClient(*server.address)
+    try:
+        name = TARGETS[0].name
+        expected = client.select(name)["recommendation"]  # fills the memo
+        round_trips = []
+        start = time.perf_counter()
+        for _ in range(HTTP_REQUESTS):
+            sent = time.perf_counter()
+            payload = client.select(name)
+            round_trips.append(time.perf_counter() - sent)
+            assert payload["batch"]["cached"]
+            assert payload["recommendation"] == expected
+        elapsed = time.perf_counter() - start
+    finally:
+        client.close()
+        server.close()
+    p50_ms = statistics.median(round_trips) * 1e3
+    _record(
+        http_keepalive_requests=HTTP_REQUESTS,
+        http_keepalive_p50_ms=round(p50_ms, 3),
+        http_keepalive_rps=round(HTTP_REQUESTS / elapsed, 1),
+    )
+    print(
+        f"\n{HTTP_REQUESTS} keep-alive /select round trips: "
+        f"p50 {p50_ms:.2f} ms   {HTTP_REQUESTS / elapsed:.0f} rps"
+    )
+    assert p50_ms < 10.0

@@ -27,7 +27,9 @@ single scheduler thread; they are not reentrant.
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import traceback
+from multiprocessing import parent_process
 from typing import TYPE_CHECKING
 
 from repro.cloud.faults import FaultPlan
@@ -127,8 +129,13 @@ def _pool_worker(conn) -> None:
     it now holds, ``None`` after a failed restore.  Any exception a wave
     raises becomes that wave's answer, so one bad wave never takes the
     worker down.  The loop ends on ``None``, or quietly when the pipe
-    closes: the parent died without saying goodbye.
+    closes: the parent died without saying goodbye.  As a worker process
+    it ignores SIGINT: a terminal Ctrl-C reaches the whole process group,
+    and the parent stops its workers itself.  Driven in-process (the
+    loop also runs on a thread) it leaves signal handling alone.
     """
+    if parent_process() is not None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
     held, selector = None, None
     while True:
         try:

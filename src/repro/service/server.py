@@ -27,6 +27,28 @@ Endpoints
 ``GET /statsz``
     Queue depth, batch-size histogram, p50/p99 service latency per
     scheduler (see :meth:`MicroBatchScheduler.stats`).
+
+Every error reply carries the typed JSON body of
+:func:`~repro.service.wire.error_to_dict`, including the ones the stdlib
+generates itself (501 for an unsupported method, 414 for an over-long
+request line, 400 for a malformed one, 431 for bad headers); those close
+the connection.
+
+Write path
+----------
+Each reply leaves in one ``send``: the handler's ``wfile`` is buffered
+(``wbufsize = -1``), ``_reply`` fills it with the status line, headers
+and body, and ``handle_one_request`` flushes it once per request.  The
+socket also runs with Nagle off (``TCP_NODELAY``), so a reply larger
+than the 8 KiB buffer, which still leaves in two sends, has its second
+one sent at once.  Both are needed on a keep-alive connection: with
+Nagle on, a segment written while an earlier one is unacknowledged
+waits for the client's delayed ACK, about 40 ms, so the headers-then-
+body writes of an unbuffered handler capped one connection at about 23
+requests per second however fast the answer was.  Buffering has one
+trap: the interim ``100 Continue`` that answers ``Expect: 100-continue``
+would sit in the buffer while the handler blocks reading a body the
+client sends only after seeing it, so ``handle_expect_100`` flushes it.
 """
 
 from __future__ import annotations
@@ -256,6 +278,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     #: Pin the protocol so clients may reuse connections.
     protocol_version = "HTTP/1.1"
+    #: Buffer ``wfile`` so a reply leaves in one send (module docstring).
+    wbufsize = -1
+    #: ``TCP_NODELAY``: a reply over the buffer is never held for an ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:
@@ -264,7 +290,12 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ---------------------------------------------------------------
 
     def _reply(
-        self, status: int, payload: dict, headers: dict[str, str] | None = None
+        self,
+        status: int,
+        payload: dict,
+        headers: dict[str, str] | None = None,
+        *,
+        head_only: bool = False,
     ) -> None:
         body = json.dumps(payload).encode()
         self.send_response(status)
@@ -273,7 +304,8 @@ class _Handler(BaseHTTPRequestHandler):
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        if not head_only:
+            self.wfile.write(body)
 
     def _fail(self, status: int, exc: BaseException) -> None:
         headers = None
@@ -282,6 +314,32 @@ class _Handler(BaseHTTPRequestHandler):
             # JSON body carries the precise float for smarter clients.
             headers = {"Retry-After": str(max(1, math.ceil(exc.retry_after_s)))}
         self._reply(status, error_to_dict(exc), headers)
+
+    def handle_expect_100(self) -> bool:
+        # The stdlib writes the interim reply into the buffered wfile;
+        # the client sends the body only once it has seen it.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """Answer a request the stdlib rejects with a typed JSON error.
+
+        Same status and ``Connection: close`` as the stdlib's HTML page,
+        and the same body rule: none for ``HEAD``; an HTTP/0.9 request
+        gets the body without a head (``send_response`` writes none).
+        """
+        if message is None:
+            message = self.responses.get(code, ("???",))[0]
+        self.log_error("code %d, message %s", code, message)
+        self._reply(
+            code,
+            error_to_dict(ServiceError(message)),
+            {"Connection": "close"},
+            head_only=self.command == "HEAD",
+        )
 
     # -- endpoints ---------------------------------------------------------------
 

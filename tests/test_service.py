@@ -4,15 +4,21 @@ Covers the selector registry (atomic, fingerprint-gated hot-reload), the
 micro-batching scheduler (bit-identity to sequential serving at any
 client concurrency, admission control, deadlines, version isolation
 within a batch) and the HTTP frontend + client (payload equality with
-library selection, typed error mapping, health/stats).
+library selection, typed error mapping, health/stats), and the
+frontend's write path (one send per reply, no reply held for an ACK,
+``Expect: 100-continue``, typed JSON for the errors the stdlib raises).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import socket
+import statistics
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from http.client import HTTPConnection, HTTPResponse
 
 import pytest
 
@@ -308,6 +314,22 @@ class TestHotReload:
         assert all(len(fps) == 1 for fps in by_batch.values())
 
 
+def _read_until_close(host: str, port: int, data: bytes) -> tuple[bytes, bytes]:
+    """Send ``data`` on a fresh connection; return the reply's head and
+    body, read until the server closes (a reset after the reply, from
+    request bytes the server left unread, ends the read too)."""
+    reply = b""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(data)
+        try:
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionResetError:
+            pass
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head, body
+
+
 class TestHTTPFrontend:
     @pytest.fixture(scope="class")
     def running(self, request):
@@ -381,15 +403,12 @@ class TestHTTPFrontend:
     def _post_declaring(client, content_length: str) -> tuple[int, bytes, dict]:
         """POST /select with a bare ``Content-Length`` and no body, then
         read until the server closes the connection (a hang times out)."""
-        with socket.create_connection((client.host, client.port), timeout=10) as sock:
-            sock.sendall(
-                b"POST /select HTTP/1.1\r\nHost: test\r\n"
-                + f"Content-Length: {content_length}\r\n\r\n".encode()
-            )
-            data = b""
-            while chunk := sock.recv(65536):
-                data += chunk
-        head, _, body = data.partition(b"\r\n\r\n")
+        head, body = _read_until_close(
+            client.host,
+            client.port,
+            b"POST /select HTTP/1.1\r\nHost: test\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode(),
+        )
         return int(head.split()[1]), head, json.loads(body)
 
     def test_non_integer_content_length_is_400_and_closes(self, running):
@@ -413,6 +432,144 @@ class TestHTTPFrontend:
         assert status == 413
         assert b"Connection: close" in head
         assert str(MAX_BODY_BYTES) in body["message"]
+
+
+class TestWritePath:
+    """Each reply leaves in one write, and no write waits for an ACK."""
+
+    @pytest.fixture()
+    def server(self, selector):
+        reg = SelectorRegistry()
+        reg.register("default", selector)
+        server = serve(SelectionService(reg, max_wait_ms=1.0), port=0)
+        yield server
+        server.close()
+
+    @pytest.fixture()
+    def sends(self, monkeypatch):
+        """Local port of every ``send``/``sendall`` call in the process."""
+        ports: list[int] = []
+
+        def counted(real):
+            def call(sock, *args):
+                ports.append(sock.getsockname()[1])
+                return real(sock, *args)
+
+            return call
+
+        for method in ("send", "sendall"):
+            monkeypatch.setattr(
+                socket.socket, method, counted(getattr(socket.socket, method))
+            )
+        return ports
+
+    def test_every_reply_leaves_in_one_send(self, server, sends):
+        host, port = server.address
+        client = ServiceClient(host, port)
+        raw = HTTPConnection(host, port, timeout=10)
+
+        def invalid_json():
+            raw.request("POST", "/select", body=b"{", headers={})
+            response = raw.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read())["error"] == "ValidationError"
+
+        def unknown_path():
+            with pytest.raises(ServiceError):
+                client._request("GET", "/nope")
+
+        def too_large():
+            status, _, _ = TestHTTPFrontend._post_declaring(
+                client, str(MAX_BODY_BYTES + 1)
+            )
+            assert status == 413
+
+        replies = {
+            "select miss": lambda: client.select(TARGETS[0]),
+            "select memo hit": lambda: client.select(TARGETS[0]),
+            "healthz": client.healthz,
+            "statsz": client.statsz,
+            "404": unknown_path,
+            "400 invalid JSON": invalid_json,
+            "413": too_large,
+        }
+        counts = {}
+        for name, reply in replies.items():
+            before = len(sends)
+            outcome = reply()
+            if name.startswith("select"):
+                assert outcome["batch"]["cached"] is name.endswith("hit")
+            counts[name] = sends[before:].count(port)
+        client.close()
+        raw.close()
+        assert counts == dict.fromkeys(replies, 1)
+
+    def test_a_reply_over_the_buffer_is_not_held_for_an_ack(self, selector):
+        """A /healthz over 60 selectors outgrows the write buffer, so it
+        leaves in two sends; the second must not wait for the client's
+        delayed ACK (about 40 ms a round trip)."""
+        reg = SelectorRegistry()
+        for i in range(60):
+            reg.register(f"selector-{i:02d}", selector)
+        server = serve(SelectionService(reg), port=0)
+        try:
+            client = ServiceClient(*server.address)
+            size = len(json.dumps(client.healthz()).encode())
+            assert size > io.DEFAULT_BUFFER_SIZE
+            round_trips = []
+            for _ in range(15):
+                start = time.perf_counter()
+                client.healthz()
+                round_trips.append(time.perf_counter() - start)
+            client.close()
+        finally:
+            server.close()
+        assert statistics.median(round_trips) < 0.020
+
+    def test_expect_100_continue_gets_the_interim_reply(self, server):
+        host, port = server.address
+        body = json.dumps({"workload": TARGETS[0]}).encode()
+        with socket.create_connection((host, port), timeout=2) as sock:
+            sock.sendall(
+                b"POST /select HTTP/1.1\r\nHost: test\r\n"
+                b"Expect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            )
+            interim = b""
+            try:
+                while not interim.endswith(b"\r\n\r\n"):
+                    interim += sock.recv(1)
+            except TimeoutError:
+                pytest.fail(f"no 100 Continue within 2 s (got {interim!r})")
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            response = HTTPResponse(sock)
+            response.begin()
+            assert response.status == 200
+            payload = json.loads(response.read())
+        client = ServiceClient(host, port)
+        assert payload["recommendation"] == client.select(TARGETS[0])["recommendation"]
+        client.close()
+
+    def test_stdlib_errors_are_typed_json(self, server):
+        host, port = server.address
+        over_long = b"GET /" + b"x" * 65536 + b" HTTP/1.1\r\n\r\n"
+        for request, status in (
+            (b"PUT /select HTTP/1.1\r\nHost: test\r\n\r\n", b"501"),
+            (over_long, b"414"),
+        ):
+            head, body = _read_until_close(host, port, request)
+            assert head.split()[1] == status
+            assert b"Content-Type: application/json" in head
+            assert b"Connection: close" in head
+            assert json.loads(body)["error"] == "ServiceError"
+        # HEAD gets the head alone; HTTP/0.9 gets the body alone.
+        head, body = _read_until_close(
+            host, port, b"HEAD /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+        )
+        assert head.split()[1] == b"501" and body == b""
+        reply = b"".join(_read_until_close(host, port, b"POST /select\r\n"))
+        assert json.loads(reply)["error"] == "ServiceError"
 
 
 class TestDurationSummary:

@@ -4,11 +4,12 @@ Covers the shard router (workload-identity routing, multi-shard
 bit-identity to sequential serving at mixed concurrency, hot-reload
 version isolation, no temp files, each shard's process-pool backend
 and the knowledge and fault plan it sends its worker only when the
-worker does not hold the wave's fingerprint), served answers that equal
-a fresh ``select`` under fault plans on every serving path, the
-scheduler's deadline enforcement at both ends of a wave, deadline-based
-load-shedding under overload, the 429 retry hint on the wire, and the
-thread safety of :class:`DurationSummary`.
+worker does not hold the wave's fingerprint, and a worker that outlives
+a terminal Ctrl-C), served answers that equal a fresh ``select`` under
+fault plans on every serving path, the scheduler's deadline enforcement
+at both ends of a wave, deadline-based load-shedding under overload,
+the 429 retry hint on the wire, and the thread safety of
+:class:`DurationSummary`.
 """
 
 from __future__ import annotations
@@ -388,6 +389,37 @@ class TestPoolWorkerFaultPlan:
             assert backend_module._pool_worker(child) is None
         finally:
             child.close()
+
+
+class TestPoolWorkerSignals:
+    """A worker process is stopped by its parent, not by the terminal."""
+
+    def test_worker_outlives_a_terminal_ctrl_c(self):
+        """Ctrl-C in a terminal signals the whole process group; a worker
+        leaves stopping to its parent and still exits 0 on ``None``."""
+        ctx = multiprocessing.get_context("spawn")
+        parent, child = ctx.Pipe()
+        proc = ctx.Process(
+            target=backend_module._pool_worker, args=(child,), daemon=True
+        )
+        proc.start()
+        child.close()
+        try:
+            # One round trip: the loop is running.  A state that fails to
+            # restore answers the empty wave cleanly.
+            parent.send(("fingerprint", ({}, {}, None), []))
+            assert parent.poll(60) and parent.recv() == (None, [])
+            os.kill(proc.pid, signal.SIGINT)
+            proc.join(timeout=1.0)
+            assert proc.is_alive()
+            parent.send(None)
+            proc.join(timeout=30)
+            assert proc.exitcode == 0
+        finally:
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+            parent.close()
 
 
 #: The 12 Spark targets, the selection set the benchmark scores.
