@@ -12,24 +12,11 @@ Numbers land in ``BENCH_lifecycle.json`` at the repo root (same
 trajectory convention as ``BENCH_serve.json``) so future PRs can compare.
 """
 
-import json
-from pathlib import Path
+from trajectory import ROOT, record
 
 from repro.experiments import ext_lifecycle
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_lifecycle.json"
-
-
-def _record(**fields) -> None:
-    """Merge measurements into BENCH_lifecycle.json (the perf trajectory)."""
-    results = {}
-    if RESULTS_PATH.is_file():
-        try:
-            results = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            results = {}
-    results.update(fields)
-    RESULTS_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+RESULTS_PATH = ROOT / "BENCH_lifecycle.json"
 
 
 def test_ext_lifecycle(once):
@@ -38,7 +25,8 @@ def test_ext_lifecycle(once):
     print(ext_lifecycle.format_table(result))
 
     frozen, naive, gated = result.frozen, result.naive, result.gated
-    _record(
+    record(
+        RESULTS_PATH,
         lifecycle_targets=len(result.targets),
         lifecycle_rounds=result.rounds,
         lifecycle_frozen_mean_mape=round(frozen.mean_mape, 2),

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 import pytest
-from bench_perf_simulator import _record
+from trajectory import ROOT, record, timed
 
 import repro.telemetry.campaign as campaign_module
 from repro.cloud.vmtypes import catalog
@@ -88,7 +88,8 @@ def test_inline_vs_pool_around_the_size_rule():
         cells = len(specs) * len(vms)
         rows[f"campaign_inline_{cells}_cells_ms"] = round(statistics.median(runs[1]), 3)
         rows[f"campaign_pool2_{cells}_cells_ms"] = round(statistics.median(runs[2]), 3)
-    _record(
+    record(
+        ROOT / "BENCH_sim.json",
         campaign_cells_per_worker=campaign_module._CELLS_PER_WORKER,
         campaign_cpu_count=os.cpu_count(),
         **rows,
@@ -118,14 +119,6 @@ def test_perf_campaign_warm_cache(benchmark, tmp_path):
 def test_warm_cache_at_least_2x_faster_than_cold_serial(tmp_path):
     """The acceptance bar: warm-cache regeneration ≥2× the cold sweep."""
     path = str(tmp_path / "cache.sqlite")
-
-    def timed(fn, rounds: int = 3) -> float:
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
 
     cold = timed(
         lambda: ProfilingCampaign(repetitions=REPS, seed=SEED).collect_grid(

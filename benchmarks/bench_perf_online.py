@@ -15,12 +15,9 @@ fold-in session latency vs the full-CMF session (≥ 3×) and
 at the repo root so future PRs can compare.
 """
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 import pytest
+from trajectory import ROOT, record, timed
 
 from repro.cloud.vmtypes import catalog
 from repro.core.caching import LRUCache
@@ -32,28 +29,7 @@ SOURCES = training_set()[:6]
 VMS = catalog()[:14]
 SEED = 7
 TARGETS = target_set()[:8]
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_online.json"
-
-
-def _timed(fn, rounds: int = 3) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _record(**fields) -> None:
-    """Merge measurements into BENCH_online.json (the perf trajectory)."""
-    results = {}
-    if RESULTS_PATH.is_file():
-        try:
-            results = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            results = {}
-    results.update(fields)
-    RESULTS_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+RESULTS_PATH = ROOT / "BENCH_online.json"
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +54,11 @@ def serving(tmp_path_factory):
 def test_foldin_session_at_least_3x_faster(serving):
     """Per-session serving latency: closed-form fold-in vs full CMF."""
     full, foldin = serving
-    full_s = _timed(lambda: [full.online(s).recommend("time") for s in TARGETS])
-    foldin_s = _timed(lambda: [foldin.online(s).recommend("time") for s in TARGETS])
+    full_s = timed(lambda: [full.online(s).recommend("time") for s in TARGETS])
+    foldin_s = timed(lambda: [foldin.online(s).recommend("time") for s in TARGETS])
     speedup = full_s / foldin_s
-    _record(
+    record(
+        RESULTS_PATH,
         targets=len(TARGETS),
         session_full_ms=round(full_s / len(TARGETS) * 1e3, 3),
         session_foldin_ms=round(foldin_s / len(TARGETS) * 1e3, 3),
@@ -105,11 +82,12 @@ def test_select_many_at_least_2x_sequential(serving):
         foldin.select(s).vm_name for s in TARGETS
     ]
 
-    sequential_s = _timed(lambda: [full.select(s) for s in TARGETS])
-    batch_s = _timed(lambda: foldin.select_many(TARGETS))
-    foldin_sequential_s = _timed(lambda: [foldin.select(s) for s in TARGETS])
+    sequential_s = timed(lambda: [full.select(s) for s in TARGETS])
+    batch_s = timed(lambda: foldin.select_many(TARGETS))
+    foldin_sequential_s = timed(lambda: [foldin.select(s) for s in TARGETS])
     speedup = sequential_s / batch_s
-    _record(
+    record(
+        RESULTS_PATH,
         batch_sequential_ms=round(sequential_s * 1e3, 3),
         batch_select_many_ms=round(batch_s * 1e3, 3),
         batch_foldin_sequential_ms=round(foldin_sequential_s * 1e3, 3),
@@ -146,10 +124,11 @@ def test_grouped_foldin_at_least_1_5x_row_loop(serving):
     grouped_result = cmf.fold_in(L, rows, masks, operator_cache=cache)
     assert grouped_result.tobytes() == loop_result.tobytes()
 
-    loop_s = _timed(lambda: cmf._fold_in_row_loop(L, rows, masks))
-    grouped_s = _timed(lambda: cmf.fold_in(L, rows, masks, operator_cache=cache))
+    loop_s = timed(lambda: cmf._fold_in_row_loop(L, rows, masks))
+    grouped_s = timed(lambda: cmf.fold_in(L, rows, masks, operator_cache=cache))
     speedup = loop_s / grouped_s
-    _record(
+    record(
+        RESULTS_PATH,
         foldin_grouped_rows=rows.shape[0],
         foldin_grouped_distinct_masks=len({m.tobytes() for m in masks}),
         foldin_rowloop_ms=round(loop_s * 1e3, 3),
@@ -201,10 +180,11 @@ def test_merged_catalog_batch_within_2_5x_of_ec2(merged_serving):
     than 2.5x the EC2-only per-session latency on the same batch size.
     """
     ec2, merged = merged_serving
-    ec2_s = _timed(lambda: merged_batch(ec2))
-    merged_s = _timed(lambda: merged_batch(merged))
+    ec2_s = timed(lambda: merged_batch(ec2))
+    merged_s = timed(lambda: merged_batch(merged))
     ratio = merged_s / ec2_s
-    _record(
+    record(
+        RESULTS_PATH,
         merged_batch_ec2_ms=round(ec2_s * 1e3, 3),
         merged_batch_multi_ms=round(merged_s * 1e3, 3),
         merged_batch_ratio=round(ratio, 2),

@@ -6,9 +6,8 @@ These benches measure both paths and assert the headline claim of the
 staged pipeline: a warm-store k sweep beats cold refits by ≥3×.
 """
 
-import time
-
 import numpy as np
+from trajectory import timed
 
 from repro.cloud.vmtypes import catalog
 from repro.core.vesta import VestaSelector
@@ -51,14 +50,6 @@ def test_perf_refit_warm_store(benchmark, tmp_path):
 def test_warm_refit_sweep_at_least_3x_faster_than_cold(tmp_path):
     """The acceptance bar: a warm-store k sweep ≥3× the cold-fit sweep."""
     path = str(tmp_path / "store.sqlite")
-
-    def timed(fn, rounds: int = 3) -> float:
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
 
     def cold_sweep():
         for k in K_VALUES:

@@ -13,44 +13,20 @@ The batch-vs-scalar numbers land in ``BENCH_sim.json`` at the repo root
 compare.
 """
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
+from trajectory import ROOT, record, timed
 
 from repro.cloud.vmtypes import catalog
 from repro.frameworks.registry import simulate_batch, simulate_run
 from repro.telemetry.collector import DataCollector
 from repro.workloads.catalog import get_workload, training_set
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
+RESULTS_PATH = ROOT / "BENCH_sim.json"
 
 #: The batch row's grid: 8 workloads x 8 VM types = 64 cells.
 BATCH_SPECS = training_set()[:8]
 BATCH_VMS = [vm.name for vm in catalog()[:8]]
 BATCH_CELLS = [(spec, vm) for spec in BATCH_SPECS for vm in BATCH_VMS]
-
-
-def _timed(fn, rounds: int = 3) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _record(**fields) -> None:
-    """Merge measurements into BENCH_sim.json (the perf trajectory)."""
-    results = {}
-    if RESULTS_PATH.is_file():
-        try:
-            results = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            results = {}
-    results.update(fields)
-    RESULTS_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
 def test_perf_runtime_only(benchmark):
@@ -107,10 +83,11 @@ def test_batch_64_cells_beats_scalar_loop():
     a runtime-only grid is planner-bound and nearly ties, which is why
     this row measures the full run.
     """
-    batch_s = _timed(lambda: _batch_full(BATCH_CELLS))
-    scalar_s = _timed(lambda: _scalar_full(BATCH_CELLS))
+    batch_s = timed(lambda: _batch_full(BATCH_CELLS))
+    scalar_s = timed(lambda: _scalar_full(BATCH_CELLS))
     speedup = scalar_s / batch_s
-    _record(
+    record(
+        RESULTS_PATH,
         batch_64_cells_ms=round(batch_s * 1e3, 3),
         scalar_loop_64_cells_ms=round(scalar_s * 1e3, 3),
         batch_vs_scalar_speedup=round(speedup, 2),

@@ -17,13 +17,12 @@ Numbers land in ``BENCH_serve.json`` at the repo root (same trajectory
 convention as ``BENCH_online.json``) so future PRs can compare.
 """
 
-import json
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
+from trajectory import ROOT, record, timed
 
 from repro.cloud.vmtypes import catalog
 from repro.core.persistence import load_selector, save_selector
@@ -46,28 +45,7 @@ TARGETS = target_set()[:8]
 CLIENTS = 8
 REQUESTS = 64  # per measured round
 HTTP_REQUESTS = 200  # back-to-back round trips on one connection
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
-
-
-def _timed(fn, rounds: int = 3) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _record(**fields) -> None:
-    """Merge measurements into BENCH_serve.json (the perf trajectory)."""
-    results = {}
-    if RESULTS_PATH.is_file():
-        try:
-            results = json.loads(RESULTS_PATH.read_text())
-        except json.JSONDecodeError:
-            results = {}
-    results.update(fields)
-    RESULTS_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+RESULTS_PATH = ROOT / "BENCH_serve.json"
 
 
 @pytest.fixture(scope="module")
@@ -110,13 +88,13 @@ def test_service_throughput_at_least_2x_sequential(served):
 
     # Correctness guard before the clocks: the service must answer
     # exactly what sequential serving answers.
-    with MicroBatchScheduler(registry, max_batch=16, max_wait_ms=2.0) as sched:
+    with MicroBatchScheduler(registry, max_batch=16) as sched:
         for spec in TARGETS:
             assert sched.select(spec.name).recommendation.vm_name == (
                 baseline.select(spec).vm_name
             )
 
-    sequential_s = _timed(
+    sequential_s = timed(
         lambda: [
             baseline.select(TARGETS[i % len(TARGETS)]) for i in range(REQUESTS)
         ]
@@ -126,23 +104,22 @@ def test_service_throughput_at_least_2x_sequential(served):
     # coalescing on computed requests (the repeat-mix bench below owns
     # the cached numbers).
     with MicroBatchScheduler(
-        registry, max_batch=16, max_wait_ms=2.0, queue_limit=256,
-        rec_cache_size=0,
+        registry, max_batch=16, queue_limit=256, rec_cache_size=0
     ) as sched:
-        batched_s = _timed(lambda: _drive(sched, REQUESTS))
+        batched_s = timed(lambda: _drive(sched, REQUESTS))
         stats = sched.stats()
 
     # The same concurrency with coalescing disabled (max_batch=1): what
     # the threading frontend would do without the scheduler.
     with MicroBatchScheduler(
-        registry, max_batch=1, max_wait_ms=0.0, queue_limit=256,
-        rec_cache_size=0,
+        registry, max_batch=1, queue_limit=256, rec_cache_size=0
     ) as unbatched:
-        unbatched_s = _timed(lambda: _drive(unbatched, REQUESTS))
+        unbatched_s = timed(lambda: _drive(unbatched, REQUESTS))
 
     speedup = sequential_s / batched_s
     mean_batch = stats["completed"] / max(stats["batches"], 1)
-    _record(
+    record(
+        RESULTS_PATH,
         serve_requests=REQUESTS,
         serve_clients=CLIENTS,
         serve_sequential_rps=round(REQUESTS / sequential_s, 1),
@@ -177,32 +154,27 @@ def test_sharded_throughput_not_slower_than_single_shard(served):
 
     # Correctness guard before the clocks: K shards must answer exactly
     # what sequential serving answers (it also loads each worker's
-    # replica and warms its profiling memo).  Sharding halves each
-    # worker's arrival rate, so the shard flushes opportunistically (wait 0:
-    # coalesce whatever is queued, never hold the window open) — the
-    # single scheduler keeps its tuned 2ms window.
+    # replica and warms its profiling memo).
     # Memo cache off on both sides: with it on, every repeat is a cache
     # hit and the clocks compare per-hit routing overhead, not serving.
     with ShardRouter(
-        registry, shards=2, max_batch=16, max_wait_ms=0.0, queue_limit=256,
-        rec_cache_size=0,
+        registry, shards=2, max_batch=16, queue_limit=256, rec_cache_size=0
     ) as router:
         for spec in TARGETS:
             assert router.select(spec.name).recommendation.vm_name == (
                 baseline.select(spec).vm_name
             )
-        sharded_s = _timed(lambda: _drive(router, REQUESTS))
+        sharded_s = timed(lambda: _drive(router, REQUESTS))
         stats = router.stats()
 
     with MicroBatchScheduler(
-        registry, max_batch=16, max_wait_ms=2.0, queue_limit=256,
-        rec_cache_size=0,
+        registry, max_batch=16, queue_limit=256, rec_cache_size=0
     ) as sched:
-        single_s = _timed(lambda: _drive(sched, REQUESTS))
+        single_s = timed(lambda: _drive(sched, REQUESTS))
 
     # Short single-worker (one-at-a-time) run for the ≥3x criterion.
     sequential_n = max(REQUESTS // 4, 1)
-    sequential_s = _timed(
+    sequential_s = timed(
         lambda: [
             baseline.select(TARGETS[i % len(TARGETS)])
             for i in range(sequential_n)
@@ -216,7 +188,8 @@ def test_sharded_throughput_not_slower_than_single_shard(served):
     single_rps = REQUESTS / single_s
     vs_single = sharded_rps / single_rps
     vs_sequential = sharded_rps / sequential_rps
-    _record(
+    record(
+        RESULTS_PATH,
         serve_shards=2,
         serve_sharded_rps=round(sharded_rps, 1),
         serve_sharded_p99_ms=stats["latency"]["p99_ms"],
@@ -256,20 +229,18 @@ def test_repeat_heavy_mix_served_from_memo_cache(served):
     ]
 
     with MicroBatchScheduler(
-        registry, max_batch=16, max_wait_ms=2.0, queue_limit=256, rec_cache_size=0
+        registry, max_batch=16, queue_limit=256, rec_cache_size=0
     ) as uncached:
-        uncached_s = _timed(lambda: _drive_mix(uncached, names))
+        uncached_s = timed(lambda: _drive_mix(uncached, names))
 
-    with MicroBatchScheduler(
-        registry, max_batch=16, max_wait_ms=2.0, queue_limit=256
-    ) as cached:
+    with MicroBatchScheduler(registry, max_batch=16, queue_limit=256) as cached:
         # Correctness guard before the clocks: cache hits must answer
         # exactly what sequential serving answers.
         for spec in TARGETS:
             expected = baseline.select(spec).vm_name
             assert cached.select(spec.name).recommendation.vm_name == expected
             assert cached.select(spec.name).recommendation.vm_name == expected
-        cached_s = _timed(lambda: _drive_mix(cached, names))
+        cached_s = timed(lambda: _drive_mix(cached, names))
         cached.latency.reset()
         _drive_mix(cached, names)  # clean percentile round, fully warm
         stats = cached.stats()
@@ -277,7 +248,8 @@ def test_repeat_heavy_mix_served_from_memo_cache(served):
     cache = stats["rec_cache"]
     hit_rate = cache["hits"] / max(cache["hits"] + cache["misses"], 1)
     speedup = uncached_s / cached_s
-    _record(
+    record(
+        RESULTS_PATH,
         repeat_mix_requests=REQUESTS,
         repeat_mix_p50_ms=stats["latency"]["p50_ms"],
         repeat_mix_p99_ms=stats["latency"]["p99_ms"],
@@ -301,7 +273,7 @@ def test_overload_burst_rejects_instead_of_collapsing(served):
     _, registry = served
     limit = 8
     sched = MicroBatchScheduler(
-        registry, max_batch=4, max_wait_ms=0.0, queue_limit=limit, start=False
+        registry, max_batch=4, queue_limit=limit, start=False
     )
     admitted, rejected = [], 0
     for i in range(limit * 3):
@@ -314,7 +286,8 @@ def test_overload_burst_rejects_instead_of_collapsing(served):
     for future in admitted:
         assert future.result(timeout=60).recommendation.vm_name
     sched.close()
-    _record(
+    record(
+        RESULTS_PATH,
         serve_burst=limit * 3,
         serve_queue_limit=limit,
         serve_burst_rejected=rejected,
@@ -348,7 +321,8 @@ def test_http_keepalive_round_trip(served):
         client.close()
         server.close()
     p50_ms = statistics.median(round_trips) * 1e3
-    _record(
+    record(
+        RESULTS_PATH,
         http_keepalive_requests=HTTP_REQUESTS,
         http_keepalive_p50_ms=round(p50_ms, 3),
         http_keepalive_rps=round(HTTP_REQUESTS / elapsed, 1),

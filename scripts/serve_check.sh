@@ -6,6 +6,7 @@
 # (sharded tier included), checked over the wire.  /statsz must then show
 # that the 2 shards run in 2 worker processes outside the server's
 # interpreter, and that only the routed shard's worker served a wave.
+# `HEAD /healthz` must answer 200 with GET's Content-Length and no body.
 # The server runs with its own TMPDIR, which must still be empty after a
 # SIGTERM (the workers get their knowledge through their pipes); the
 # SIGTERM must also end the server cleanly: exit status 0, no traceback
@@ -71,6 +72,7 @@ check_leg() {
     if ! python - "$WORKLOAD" "$PORT" "$leg/cli.json" "$SERVER_PID" \
         "$WORKDIR/catalog.json" "$min_events" <<'PY'
 import json
+import socket
 import sys
 import time
 from urllib.error import URLError
@@ -89,6 +91,24 @@ for _ in range(120):
         time.sleep(0.5)
 else:
     sys.exit("service never became healthy")
+
+# HEAD: GET's head, no body (read raw: urllib never reads a HEAD body).
+get_length = len(urlopen(base + "/healthz", timeout=5).read())
+reply = b""
+with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+    sock.sendall(
+        b"HEAD /healthz HTTP/1.1\r\nHost: check\r\nConnection: close\r\n\r\n"
+    )
+    while chunk := sock.recv(65536):
+        reply += chunk
+head, _, body = reply.partition(b"\r\n\r\n")
+if (
+    head.split()[1] != b"200"
+    or body
+    or f"Content-Length: {get_length}\r\n".encode() not in head + b"\r\n"
+):
+    sys.exit(f"HEAD /healthz: expected GET's 200 head and no body, got {reply!r}")
+print(f"HEAD /healthz: 200, Content-Length {get_length}, no body")
 
 request = Request(
     base + "/select",

@@ -214,11 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument(
         "--max-batch", type=int, default=16,
-        help="largest coalesced request batch (default: 16)",
-    )
-    p_srv.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="batching window after the first queued request (default: 2)",
+        help="largest coalesced request batch: each wave serves whatever "
+             "queued while the previous one ran, up to this many "
+             "(default: 16)",
     )
     p_srv.add_argument(
         "--queue-limit", type=int, default=128,
@@ -235,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--rec-cache", type=int, default=512, metavar="N",
         help="recommendation memo-cache entries per scheduler shard, keyed "
-             "by (knowledge fingerprint, catalog fingerprint, workload, "
-             "objective); 0 disables (default: 512)",
+             "by (knowledge fingerprint, workload, objective); 0 disables "
+             "(default: 512)",
     )
     p_srv.add_argument(
         "--cmf-mode", choices=("full", "foldin"), default=None,
@@ -642,7 +640,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = SelectionService(
         registry,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_limit=args.queue_limit,
         shards=args.shards,
         rec_cache_size=args.rec_cache,

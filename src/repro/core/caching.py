@@ -64,19 +64,9 @@ class LRUCache:
                 self._data.popitem(last=False)
                 self._evictions += 1
 
-    def clear(self) -> None:
-        """Drop every entry (counters keep their lifetime totals)."""
-        with self._lock:
-            self._data.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
-
-    def __contains__(self, key: object) -> bool:
-        # Membership without touching recency or the miss counter.
-        with self._lock:
-            return key in self._data
 
     def stats(self) -> dict:
         """JSON-able counters: size/maxsize plus lifetime hit/miss/eviction."""

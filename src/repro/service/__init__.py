@@ -30,13 +30,11 @@ from repro.service.shards import ShardRouter
 from repro.service.wire import (
     canonical_request,
     recommendation_to_dict,
-    request_key,
     response_to_dict,
 )
 
 __all__ = [
     "canonical_request",
-    "request_key",
     "InlineBackend",
     "MicroBatchScheduler",
     "ProcessPoolBackend",

@@ -165,10 +165,3 @@ class ServiceClient:
 
     def statsz(self) -> dict:
         return self._request("GET", "/statsz")
-
-    def served_catalogs(self) -> dict:
-        """Per-selector catalog identity (``/statsz``'s ``catalogs`` map).
-
-        Empty for servers predating the catalog dimension.
-        """
-        return self.statsz().get("catalogs", {})

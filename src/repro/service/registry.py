@@ -12,7 +12,10 @@ finishes, while the next batch picks up the new one.  Reloading from a
 persistence archive is *fingerprint-gated* — the registry peeks at the
 archive's knowledge fingerprint (metadata only, no array restore) and
 skips the swap entirely when the archive holds the version already being
-served, which makes periodic reload-from-disk loops cheap.
+served, which makes periodic reload-from-disk loops cheap.  The peek is
+compared with the fingerprint of the archive the served handle was
+restored from, so the skip holds under a fault plan too, although a
+plan is folded into the served selector's own fingerprint.
 """
 
 from __future__ import annotations
@@ -37,7 +40,11 @@ class SelectorHandle:
     :meth:`~repro.core.vesta.VestaSelector.knowledge_fingerprint`);
     ``generation`` counts swaps of the name since registration, so two
     handles with equal fingerprints but different generations denote a
-    reload that restored the same knowledge.
+    reload that restored the same knowledge.  ``archive_fingerprint`` is
+    the peeked knowledge fingerprint of the archive the handle was
+    restored from (``None`` when registered directly, or restored from
+    a version-1 archive); a fault plan given at load time makes
+    ``fingerprint`` differ from it.
     """
 
     name: str
@@ -45,6 +52,7 @@ class SelectorHandle:
     fingerprint: str
     generation: int
     registered_at: float
+    archive_fingerprint: str | None = None
 
     def describe(self) -> dict:
         """JSON-able summary for health/stats endpoints."""
@@ -86,6 +94,11 @@ class SelectorRegistry:
         The selector must be fitted; its knowledge fingerprint is
         computed once here.  Returns the installed handle.
         """
+        return self._install(name, selector, None)
+
+    def _install(
+        self, name: str, selector: VestaSelector, archive_fingerprint: str | None
+    ) -> SelectorHandle:
         fingerprint = selector.knowledge_fingerprint()  # validates fitted
         with self._lock:
             previous = self._handles.get(name)
@@ -95,6 +108,7 @@ class SelectorRegistry:
                 fingerprint=fingerprint,
                 generation=(previous.generation + 1) if previous else 1,
                 registered_at=time.time(),
+                archive_fingerprint=archive_fingerprint,
             )
             self._handles[name] = handle
         return handle
@@ -106,7 +120,10 @@ class SelectorRegistry:
         :func:`~repro.core.persistence.load_selector` (``cache``,
         ``faults``, ``store``).
         """
-        return self.register(name, load_selector(path, **load_kwargs))
+        # Peek before restoring: an archive replaced in between then
+        # reads as changed on the next reload, never as unchanged.
+        peeked = archive_knowledge_fingerprint(path)
+        return self._install(name, load_selector(path, **load_kwargs), peeked)
 
     def reload(
         self, name: str, path: str | Path, **load_kwargs
@@ -114,10 +131,11 @@ class SelectorRegistry:
         """Fingerprint-gated hot-reload of ``name`` from an archive.
 
         Peeks at the archive's knowledge fingerprint first: when it
-        matches the currently served version, nothing is loaded and the
-        current handle is returned with ``swapped=False``.  Otherwise the
-        archive is fully restored and atomically swapped in.  Returns
-        ``(handle, swapped)``.
+        matches the archive the current handle was restored from (or,
+        for a directly registered handle, its own fingerprint), nothing
+        is loaded and the current handle is returned with
+        ``swapped=False``.  Otherwise the archive is fully restored and
+        atomically swapped in.  Returns ``(handle, swapped)``.
 
         A reload never changes the provider catalog a name serves: an
         archive fitted on a different catalog than the one currently
@@ -127,10 +145,13 @@ class SelectorRegistry:
         invalidate them mid-flight).
         """
         current = self.get(name) if name in self.names() else None
-        if current is not None:
-            peeked = archive_knowledge_fingerprint(path)
-            if peeked is not None and peeked == current.fingerprint:
-                return current, False
+        peeked = archive_knowledge_fingerprint(path)
+        if (
+            current is not None
+            and peeked is not None
+            and peeked == (current.archive_fingerprint or current.fingerprint)
+        ):
+            return current, False
         selector = load_selector(path, **load_kwargs)
         if current is not None:
             served = current.selector.catalog
@@ -151,7 +172,7 @@ class SelectorRegistry:
                 # Raced with another reloader, or a v1 archive (no peek)
                 # restoring the served version: keep the existing handle.
                 return existing, False
-            return self.register(name, selector), True
+            return self._install(name, selector, peeked), True
 
     def unregister(self, name: str) -> None:
         """Remove ``name``; in-flight holders of its handle are unaffected."""

@@ -1,9 +1,9 @@
 """Micro-batching request scheduler with admission control.
 
 Concurrent ``select`` requests enqueue into a bounded buffer; a single
-worker thread drains it, coalescing whatever is waiting (up to
-``max_batch``, flushed after ``max_wait_ms``) into **one** batched
-online wave, executed by a pluggable backend
+worker thread drains it, taking the first queued request plus whatever
+else is queued (up to ``max_batch``) as **one** batched online wave,
+served at once by a pluggable backend
 (:mod:`repro.service.backend`): inline on the worker thread for a
 standalone scheduler, or, for each shard of a
 :class:`~repro.service.shards.ShardRouter`, shipped to a dedicated
@@ -14,6 +14,10 @@ one worker alone drives the selector, any client concurrency collapses
 to a deterministic serial order of batches, and every response is
 exactly what a sequential ``repro select`` would have produced for the
 same request.
+
+The worker never holds a batch open for co-travellers: under load, the
+requests that queue while one wave runs already form the next batch,
+so a waiting window would only delay a request that arrived alone.
 
 Backpressure degrades in stages instead of blanket-rejecting at a fixed
 depth.  When the queue is full, the scheduler first *sheds* queued
@@ -40,12 +44,15 @@ generation that produced it.
 
 Steady-state traffic repeats a small set of requests, and selection is
 deterministic per knowledge version, so the scheduler keeps a bounded
-recommendation memo cache keyed by ``(knowledge fingerprint, catalog
-fingerprint, workload, objective)``.  A hit is answered at submit time —
-no queueing, no wave — with the byte-identical recommendation the
-original wave computed, stamped ``cached=True``.  Reload invalidation is
-by construction (the fingerprints are in the key); ``rec_cache_size=0``
-turns the layer off entirely.
+recommendation memo cache keyed by ``(knowledge fingerprint, workload,
+objective)``.  The knowledge fingerprint already identifies the catalog:
+the VM tuple's content is in every pipeline stage, and a non-default
+catalog's name and content fingerprint (pricing rule included) are
+stamped into the root stages.  A hit is answered at submit time — no
+queueing, no wave — with the byte-identical recommendation the original
+wave computed, stamped ``cached=True``.  Reload invalidation is by
+construction (the fingerprint is in the key); ``rec_cache_size=0`` turns
+the layer off entirely.
 
 Fault tolerance reuses the online degradation machinery: selectors
 running under a fault plan return ``degraded`` recommendations (lost
@@ -115,6 +122,17 @@ class SelectResponse:
     cached: bool = False
 
 
+def _memo_key(handle, workload: str, objective: str) -> tuple:
+    """Memo-cache key of one request under one knowledge handle.
+
+    The knowledge fingerprint is in the key, so invalidation on
+    hot-reload happens by construction: the reloaded handle never finds
+    the old version's entries, and LRU ages them out.  No entry is ever
+    deleted for correctness reasons.
+    """
+    return handle.fingerprint, workload, objective
+
+
 @dataclass
 class _Pending:
     """One admitted request waiting in the queue."""
@@ -140,35 +158,27 @@ class MicroBatchScheduler:
     max_batch:
         Largest coalesced wave (>= 1).  ``1`` degenerates to
         one-request-at-a-time serving — the determinism baseline.
-    max_wait_ms:
-        How long the worker holds an open batch for co-travellers after
-        the first request arrives before flushing a partial batch.
-        ``0`` coalesces whatever is already queued without waiting.
     queue_limit:
         Admission bound.  A full queue first sheds queued requests whose
         deadlines are unmeetable, then rejects with
         :class:`ServiceOverloadedError`.
     backend:
-        Execution backend for waves; defaults to
+        Execution backend for waves; defaults to a journal-free
         :class:`~repro.service.backend.InlineBackend`.  The scheduler
         owns it: :meth:`close` closes the backend too.
     shard:
         Shard index stamped on responses and stats (routers set this).
     rec_cache_size:
         Entries in the recommendation memo cache, keyed by
-        ``(knowledge fingerprint, catalog fingerprint, workload,
-        objective)``.  A repeat request whose knowledge version is
-        unchanged is answered at submit time without touching the
-        worker, byte-identical to the wave that computed it (selection
-        is deterministic per fingerprint).  ``0`` disables the cache.
-    journal:
-        Session-journal callable ``journal(handle, session, objective)``
-        wired into the default inline backend — the knowledge
-        lifecycle's observation hook.  Ignored when ``backend`` is
-        passed explicitly.
+        ``(knowledge fingerprint, workload, objective)``.  A repeat
+        request whose knowledge version is unchanged is answered at
+        submit time without touching the worker, byte-identical to the
+        wave that computed it (selection is deterministic per
+        fingerprint).  ``0`` disables the cache.
     start:
         Start the worker thread immediately (tests pass ``False`` to
-        exercise admission control with a stalled worker).
+        exercise admission control with a stalled worker, or to queue a
+        burst that the first wave then serves together).
     """
 
     def __init__(
@@ -177,18 +187,14 @@ class MicroBatchScheduler:
         selector: str = "default",
         *,
         max_batch: int = 16,
-        max_wait_ms: float = 2.0,
         queue_limit: int = 128,
         backend=None,
         shard: int = 0,
         rec_cache_size: int = 512,
-        journal=None,
         start: bool = True,
     ) -> None:
         if max_batch < 1:
             raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValidationError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if queue_limit < 1:
             raise ValidationError(f"queue_limit must be >= 1, got {queue_limit}")
         if rec_cache_size < 0:
@@ -198,14 +204,8 @@ class MicroBatchScheduler:
         self.registry = registry
         self.selector_name = selector
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_ms / 1e3
         self.queue_limit = queue_limit
-        # ``journal`` only applies to the default inline backend: pool
-        # workers keep their sessions process-local (SelectionService
-        # rejects learning with shards > 1 for exactly this reason).
-        self.backend = (
-            backend if backend is not None else InlineBackend(journal=journal)
-        )
+        self.backend = backend if backend is not None else InlineBackend()
         self.shard = shard
         self._rec_cache = LRUCache(rec_cache_size) if rec_cache_size > 0 else None
         self._pending: deque[_Pending] = deque()
@@ -328,7 +328,8 @@ class MicroBatchScheduler:
                     error = ServiceOverloadedError(
                         self.queue_limit,
                         queue_depth=depth,
-                        retry_after_s=round(ewma or self.max_wait_s, 3) or 0.001,
+                        # 1 ms before the first wave has been timed.
+                        retry_after_s=round(ewma, 3) or 0.001,
                     )
         for doomed, waited in shed:
             doomed.future.set_exception(
@@ -348,21 +349,6 @@ class MicroBatchScheduler:
             raise error
         return pending.future
 
-    def _cache_key_for(self, handle, spec_name: str, objective: str) -> tuple:
-        """Memo-cache key of one request under one knowledge handle.
-
-        Both fingerprints are in the key, so invalidation on hot-reload
-        (or a catalog swap) happens by construction: the reloaded handle
-        simply never finds the old version's entries, and LRU ages them
-        out.  No entry is ever deleted for correctness reasons.
-        """
-        return (
-            handle.fingerprint,
-            handle.selector.catalog.fingerprint(),
-            spec_name,
-            objective,
-        )
-
     def _serve_from_cache(self, spec: WorkloadSpec, objective: str) -> Future | None:
         """Complete a submit from the memo cache; ``None`` on a miss.
 
@@ -373,13 +359,10 @@ class MicroBatchScheduler:
         started = time.monotonic()
         try:
             handle = self.registry.get(self.selector_name)
-            key = self._cache_key_for(handle, spec.name, objective)
-        except (ReproError, AttributeError):
-            # Unknown selector (the wave will surface the error exactly
-            # as before) or a selector double without catalog identity:
-            # serve through the normal path.
+        except ReproError:
+            # Unknown selector: the wave surfaces the error.
             return None
-        entry = self._rec_cache.get(key)
+        entry = self._rec_cache.get(_memo_key(handle, spec.name, objective))
         if entry is None:
             return None
         with self._cond:
@@ -459,26 +442,10 @@ class MicroBatchScheduler:
                     self._cond.wait()
                 if not self._pending:
                     return  # closed and drained
-                batch = [self._pending.popleft()]
-                # Opportunistic coalescing costs nothing: take whatever
-                # is already waiting before deciding whether to hold the
-                # batch open for co-travellers.
-                while len(batch) < self.max_batch and self._pending:
-                    batch.append(self._pending.popleft())
-            if len(batch) < self.max_batch and self.max_wait_s > 0:
-                flush_at = time.monotonic() + self.max_wait_s
-                while len(batch) < self.max_batch:
-                    with self._cond:
-                        if not self._pending:
-                            if self._closed:
-                                break
-                            remaining = flush_at - time.monotonic()
-                            if remaining <= 0:
-                                break
-                            self._cond.wait(remaining)
-                            if not self._pending:
-                                continue  # timeout or spurious wake
-                        batch.append(self._pending.popleft())
+                batch = [
+                    self._pending.popleft()
+                    for _ in range(min(self.max_batch, len(self._pending)))
+                ]
             self._serve_batch(batch)
 
     def _serve_batch(self, batch: list[_Pending]) -> None:
@@ -520,25 +487,15 @@ class MicroBatchScheduler:
                 else _EWMA_ALPHA * service_s
                 + (1.0 - _EWMA_ALPHA) * self._service_ewma_s
             )
-        key_prefix: tuple | None = None
-        if self._rec_cache is not None:
-            try:
-                # Keyed by the handle that actually served the wave (not
-                # the one current at submit time), so a reload landing
-                # mid-flight can never file a result under the wrong
-                # fingerprint.
-                key_prefix = (
-                    handle.fingerprint,
-                    handle.selector.catalog.fingerprint(),
-                )
-            except AttributeError:
-                key_prefix = None
         for req, outcome in zip(live, outcomes):
-            if key_prefix is not None and isinstance(outcome, Recommendation):
-                # Inserted even when this request's own deadline lapsed
+            if self._rec_cache is not None and isinstance(outcome, Recommendation):
+                # Keyed by the handle that served the wave (not the one
+                # current at submit time), so a reload landing mid-flight
+                # never files a result under the wrong fingerprint; and
+                # inserted even when this request's own deadline lapsed
                 # below: the computation is valid knowledge either way.
                 self._rec_cache.put(
-                    (*key_prefix, req.spec.name, req.objective),
+                    _memo_key(handle, req.spec.name, req.objective),
                     (outcome, batch_id, len(live)),
                 )
             if req.deadline is not None and done > req.deadline:
@@ -606,7 +563,6 @@ class MicroBatchScheduler:
                 "queue_depth": depth,
                 "queue_limit": self.queue_limit,
                 "max_batch": self.max_batch,
-                "max_wait_ms": self.max_wait_s * 1e3,
                 "submitted": self._submitted,
                 "completed": self._completed,
                 "rejected": self._rejected,

@@ -4,8 +4,9 @@ Stdlib only: a :class:`~http.server.ThreadingHTTPServer` whose handler
 threads do no selection work themselves — they validate, enqueue into
 the micro-batching scheduler, and block on the response future.  All
 model compute happens on the scheduler's single worker thread, so
-client concurrency at the HTTP layer translates into coalesced batches,
-never into concurrent selector access.
+client concurrency at the HTTP layer translates into coalesced batches
+(the requests that queue while one wave runs form the next), never into
+concurrent selector access.
 
 Endpoints
 ---------
@@ -27,6 +28,10 @@ Endpoints
 ``GET /statsz``
     Queue depth, batch-size histogram, p50/p99 service latency per
     scheduler (see :meth:`MicroBatchScheduler.stats`).
+``HEAD``
+    Answers any path as ``GET`` would, with the same status and
+    ``Content-Length`` and no body (RFC 9110 §9.3.2), so a load
+    balancer can probe ``/healthz`` cheaply.
 
 Every error reply carries the typed JSON body of
 :func:`~repro.service.wire.error_to_dict`, including the ones the stdlib
@@ -66,11 +71,8 @@ from repro.errors import (
     ServiceOverloadedError,
     ValidationError,
 )
-from repro.service.learning import (
-    DEFAULT_JOURNAL_LIMIT,
-    LearningLoop,
-    SessionJournal,
-)
+from repro.service.backend import InlineBackend
+from repro.service.learning import LearningLoop, SessionJournal
 from repro.service.registry import SelectorRegistry
 from repro.service.scheduler import MicroBatchScheduler, SelectResponse
 from repro.service.shards import ShardRouter
@@ -86,9 +88,10 @@ class SelectionService:
     The composition root of the serving subsystem: owns scheduler
     lifecycle (created lazily per registered name, torn down on
     :meth:`close`) and translates requests into scheduler submissions.
-    With ``shards > 1`` each name is served by a
-    :class:`~repro.service.shards.ShardRouter`, whose shards run their
-    waves in ``spawn`` worker processes, instead of a single
+    A request that names no selector is served by ``"default"``, the
+    name the learning loop grows.  With ``shards > 1`` each name is
+    served by a :class:`~repro.service.shards.ShardRouter`, whose shards
+    run their waves in ``spawn`` worker processes, instead of a single
     :class:`MicroBatchScheduler`; the two expose the same surface, so
     nothing downstream changes (``queue_limit`` etc. become per-shard).
     A script that builds one with ``shards > 1`` must guard its entry
@@ -100,18 +103,13 @@ class SelectionService:
         self,
         registry: SelectorRegistry,
         *,
-        default_selector: str = "default",
         max_batch: int = 16,
-        max_wait_ms: float = 2.0,
         queue_limit: int = 128,
         shards: int = 1,
         rec_cache_size: int = 512,
         learn: bool = False,
         learn_store: MetricsStore | str | None = None,
         learn_interval_s: float = 5.0,
-        learn_journal_limit: int | None = DEFAULT_JOURNAL_LIMIT,
-        learn_min_observations: int = 3,
-        learn_min_holdouts: int = 1,
     ) -> None:
         if shards < 1:
             raise ValidationError(f"shards must be >= 1, got {shards}")
@@ -124,9 +122,7 @@ class SelectionService:
                 "sessions run in worker processes and cannot be journalled"
             )
         self.registry = registry
-        self.default_selector = default_selector
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.queue_limit = queue_limit
         self.shards = shards
         self.rec_cache_size = rec_cache_size
@@ -145,14 +141,9 @@ class SelectionService:
                 self._owned_store = store
             else:
                 store = learn_store
-            self._journal = SessionJournal(store, limit=learn_journal_limit)
+            self._journal = SessionJournal(store)
             self._learning = LearningLoop(
-                registry,
-                self._journal,
-                selector=default_selector,
-                interval_s=learn_interval_s,
-                min_observations=learn_min_observations,
-                min_holdouts=learn_min_holdouts,
+                registry, self._journal, interval_s=learn_interval_s
             )
 
     def _build(self, name: str) -> MicroBatchScheduler | ShardRouter:
@@ -161,24 +152,22 @@ class SelectionService:
                 self.registry,
                 name,
                 max_batch=self.max_batch,
-                max_wait_ms=self.max_wait_ms,
                 queue_limit=self.queue_limit,
+                backend=InlineBackend(journal=self._journal),
                 rec_cache_size=self.rec_cache_size,
-                journal=self._journal,
             )
         return ShardRouter(
             self.registry,
             name,
             shards=self.shards,
             max_batch=self.max_batch,
-            max_wait_ms=self.max_wait_ms,
             queue_limit=self.queue_limit,
             rec_cache_size=self.rec_cache_size,
         )
 
     def scheduler(self, name: str | None = None) -> MicroBatchScheduler | ShardRouter:
         """The scheduler serving ``name`` (created on first use)."""
-        name = name or self.default_selector
+        name = name or "default"
         self.registry.get(name)  # unknown selector fails before a scheduler exists
         with self._lock:
             if self._closed:
@@ -290,13 +279,9 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ---------------------------------------------------------------
 
     def _reply(
-        self,
-        status: int,
-        payload: dict,
-        headers: dict[str, str] | None = None,
-        *,
-        head_only: bool = False,
+        self, status: int, payload: dict, headers: dict[str, str] | None = None
     ) -> None:
+        """Send one JSON reply; a ``HEAD`` request gets the head alone."""
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -304,7 +289,7 @@ class _Handler(BaseHTTPRequestHandler):
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        if not head_only:
+        if self.command != "HEAD":
             self.wfile.write(body)
 
     def _fail(self, status: int, exc: BaseException) -> None:
@@ -335,10 +320,7 @@ class _Handler(BaseHTTPRequestHandler):
             message = self.responses.get(code, ("???",))[0]
         self.log_error("code %d, message %s", code, message)
         self._reply(
-            code,
-            error_to_dict(ServiceError(message)),
-            {"Connection": "close"},
-            head_only=self.command == "HEAD",
+            code, error_to_dict(ServiceError(message)), {"Connection": "close"}
         )
 
     # -- endpoints ---------------------------------------------------------------
@@ -352,6 +334,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, service.stats())
         else:
             self._fail(404, ServiceError(f"unknown path {self.path!r}"))
+
+    def do_HEAD(self) -> None:  # noqa: N802 (http.server API)
+        """``GET``'s reply without the body (``_reply`` leaves it out)."""
+        self.do_GET()
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         declared = self.headers.get("Content-Length", "0").strip()

@@ -8,7 +8,10 @@ Python's ``hash()`` is per-process randomized).  Identity routing is
 what keeps the sharded tier bit-identical to sequential serving for
 free: a given workload always lands on the same shard, so its memoized
 profiling/session state stays shard-local and warm, and no two shards
-ever race on the same workload's campaign memo.
+ever race on the same workload's campaign memo.  Each shard batches
+exactly like a lone scheduler: whatever queued on it while its previous
+wave ran is its next wave, and a repeat request under an unchanged
+knowledge fingerprint is answered from that shard's memo cache.
 
 Shards do not share a live selector — :class:`VestaSelector` online
 sessions mutate per-selector state, and K scheduler threads under one
@@ -53,9 +56,9 @@ class ShardRouter:
 
     Exposes the scheduler's surface (``submit``/``select``/
     ``select_all``/``stats``/``close``), so the HTTP frontend drives a
-    router exactly like a single scheduler.  ``queue_limit``,
-    ``max_batch`` and ``max_wait_ms`` are per shard.  Each shard owns
-    one :class:`~repro.service.backend.ProcessPoolBackend`, so a router
+    router exactly like a single scheduler.  ``queue_limit`` and
+    ``max_batch`` are per shard.  Each shard owns one
+    :class:`~repro.service.backend.ProcessPoolBackend`, so a router
     starts K ``spawn`` worker processes.
 
     Parameters
@@ -78,7 +81,6 @@ class ShardRouter:
         *,
         shards: int = 2,
         max_batch: int = 16,
-        max_wait_ms: float = 2.0,
         queue_limit: int = 128,
         rec_cache_size: int = 512,
     ) -> None:
@@ -91,7 +93,6 @@ class ShardRouter:
                 registry,
                 selector,
                 max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
                 queue_limit=queue_limit,
                 backend=ProcessPoolBackend(),
                 shard=index,
@@ -190,7 +191,6 @@ class ShardRouter:
             "shards": len(self._shards),
             "queue_limit": first["queue_limit"],
             "max_batch": first["max_batch"],
-            "max_wait_ms": first["max_wait_ms"],
             **totals,
             "batch_size_histogram": dict(sorted(histogram.items())),
             "latency": DurationSummary.aggregate(

@@ -12,18 +12,14 @@ bit-level statement, not an approximate one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 
-from repro.cloud.catalog import ProviderCatalog
 from repro.core.vesta import Recommendation
 from repro.errors import DeadlineExceededError, ServiceOverloadedError, ValidationError
 from repro.service.scheduler import SelectResponse
 
 __all__ = [
     "canonical_request",
-    "request_key",
-    "catalog_to_dict",
     "recommendation_to_dict",
     "response_to_dict",
     "error_to_dict",
@@ -65,33 +61,6 @@ def canonical_request(body: dict) -> dict:
                 f"timeout_s must be a number, got {timeout_s!r}"
             ) from None
     return canonical
-
-
-def request_key(body: dict) -> str:
-    """Stable string identity of a request for memo-cache keying.
-
-    Compact sorted-key JSON of the canonical form, minus ``timeout_s`` —
-    the deadline shapes *whether* an answer arrives in time, never which
-    answer is computed, so two requests differing only in timeout share
-    one identity.  (The scheduler keys its cache on the same fields plus
-    the knowledge/catalog fingerprints, which live outside the request.)
-    """
-    canonical = canonical_request(body)
-    canonical.pop("timeout_s", None)
-    return json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-
-
-def catalog_to_dict(catalog: ProviderCatalog) -> dict:
-    """JSON-able identity of a provider catalog (name + content hash).
-
-    The same pair the registry reports per served selector and ``repro
-    catalog --json`` prints, so the serving check can compare them
-    string-for-string.
-    """
-    return {
-        "catalog": catalog.name,
-        "catalog_fingerprint": catalog.fingerprint(),
-    }
 
 
 def recommendation_to_dict(rec: Recommendation) -> dict:

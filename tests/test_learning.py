@@ -22,7 +22,11 @@ from repro.core.pipeline import PromotedSource
 from repro.core.vesta import VestaSelector
 from repro.errors import ValidationError
 from repro.service import SelectionService, SelectorRegistry
-from repro.service.learning import LearningLoop, SessionJournal
+from repro.service.learning import (
+    DEFAULT_JOURNAL_LIMIT,
+    LearningLoop,
+    SessionJournal,
+)
 from repro.telemetry.store import MetricsStore
 from repro.workloads.catalog import get_workload, target_set, training_set
 
@@ -132,12 +136,19 @@ class TestSessionJournal:
             assert service.stats()["learning"]["journal"]["dropped"] == 1
 
     def test_retention_limit_bounds_the_journal(self, selector):
-        with MetricsStore(":memory:") as store, SelectionService(
-            _registry(selector), learn=True, learn_store=store,
-            learn_journal_limit=3, learn_interval_s=3600.0,
+        registry = _registry(selector)
+        with SelectionService(
+            registry, learn=True, learn_interval_s=3600.0
         ) as service:
+            stats = service.stats()["learning"]["journal"]
+            assert stats["retention_limit"] == DEFAULT_JOURNAL_LIMIT
+        handle = registry.get("default")
+        with MetricsStore(":memory:") as store:
+            journal = SessionJournal(store, limit=3)
             for name in TARGETS:
-                service.select(name)
+                session = selector.online(get_workload(name))
+                session.recommend("time")
+                journal(handle, session, "time")
             assert store.session_count() == 3
             kept = [r.workload for r in store.sessions()]
             assert kept == list(TARGETS[-3:])  # oldest evicted first

@@ -22,6 +22,7 @@ from http.client import HTTPConnection, HTTPResponse
 
 import pytest
 
+from repro.cloud.faults import FaultPlan
 from repro.cloud.vmtypes import catalog
 from repro.core.persistence import (
     archive_knowledge_fingerprint,
@@ -41,6 +42,7 @@ from repro.service import (
     ServiceClient,
     recommendation_to_dict,
 )
+from repro.service import registry as registry_module
 from repro.service.server import MAX_BODY_BYTES, serve
 from repro.telemetry.latency import DurationSummary
 from repro.workloads.catalog import get_workload, target_set, training_set
@@ -125,6 +127,28 @@ class TestRegistry:
         # The old handle still serves for whoever holds it.
         assert first.selector.knowledge_fingerprint() == first.fingerprint
 
+    def test_reload_under_a_fault_plan_skips_an_unchanged_archive(
+        self, archive, monkeypatch
+    ):
+        """A fault plan is folded into the served fingerprint, so the
+        peek must be compared with the archive the handle came from."""
+        restores = []
+        real_load = registry_module.load_selector
+
+        def counted_load(path, **kwargs):
+            restores.append(path)
+            return real_load(path, **kwargs)
+
+        monkeypatch.setattr(registry_module, "load_selector", counted_load)
+        plan = FaultPlan(transient_prob=0.2, max_attempts=3, seed=5)
+        reg = SelectorRegistry()
+        first, swapped = reg.reload("default", archive, faults=plan)
+        assert swapped
+        assert first.fingerprint != archive_knowledge_fingerprint(archive)
+        again, swapped = reg.reload("default", archive, faults=plan)
+        assert not swapped and again is first
+        assert restores == [archive]
+
     def test_archive_fingerprint_peek_matches_load(self, selector, archive):
         assert (
             archive_knowledge_fingerprint(archive)
@@ -158,9 +182,7 @@ class TestScheduler:
             for name in TARGETS
             for objective in ("time", "budget")
         ] * 2
-        with MicroBatchScheduler(
-            registry, max_batch=8, max_wait_ms=20.0, queue_limit=256
-        ) as sched:
+        with MicroBatchScheduler(registry, max_batch=8, queue_limit=256) as sched:
             with ThreadPoolExecutor(max_workers=clients) as pool:
                 responses = list(
                     pool.map(lambda r: sched.select(r[0], r[1]), requests)
@@ -192,13 +214,33 @@ class TestScheduler:
             )
 
     def test_max_batch_one_is_the_sequential_degenerate(self, registry, reference):
-        with MicroBatchScheduler(registry, max_batch=1, max_wait_ms=0.0) as sched:
+        with MicroBatchScheduler(registry, max_batch=1) as sched:
             for name in TARGETS[:3]:
                 response = sched.select(name)
                 _assert_matches_reference(
                     response.recommendation, reference[(name, "time")]
                 )
                 assert response.batch_size == 1
+
+    def test_queued_burst_is_served_in_waves_of_max_batch(
+        self, registry, reference
+    ):
+        """Whatever is queued when the worker frees up is the next wave:
+        a burst queued before ``start()`` is served as full waves of
+        ``max_batch`` and then the rest, with no window in between."""
+        keys = [(name, "time") for name in TARGETS] + [(TARGETS[0], "budget")]
+        with MicroBatchScheduler(
+            registry, max_batch=4, rec_cache_size=0, start=False
+        ) as sched:
+            futures = [sched.submit(name, objective) for name, objective in keys]
+            sched.start()
+            responses = [future.result(timeout=60) for future in futures]
+            stats = sched.stats()
+        assert [r.batch_size for r in responses] == [4] * 4 + [3] * 3
+        assert [r.batch_id for r in responses] == [1] * 4 + [2] * 3
+        assert stats["batch_size_histogram"] == {"3": 1, "4": 1}
+        for key, response in zip(keys, responses):
+            _assert_matches_reference(response.recommendation, reference[key])
 
     def test_overload_rejects_explicitly(self, registry):
         sched = MicroBatchScheduler(
@@ -247,7 +289,7 @@ class TestScheduler:
             sched.submit(TARGETS[0])
 
     def test_latency_split_accounts_queue_and_service(self, registry):
-        with MicroBatchScheduler(registry, max_wait_ms=0.0) as sched:
+        with MicroBatchScheduler(registry) as sched:
             response = sched.select(TARGETS[0])
         assert response.queued_ms >= 0.0
         assert response.service_ms >= 0.0
@@ -284,9 +326,7 @@ class TestHotReload:
                 reg.reload("default", other_path if flip else archive)
                 flip = not flip
 
-        with MicroBatchScheduler(
-            reg, max_batch=4, max_wait_ms=5.0, queue_limit=256
-        ) as sched:
+        with MicroBatchScheduler(reg, max_batch=4, queue_limit=256) as sched:
             reload_thread = threading.Thread(target=reloader, daemon=True)
             reload_thread.start()
             try:
@@ -336,7 +376,7 @@ class TestHTTPFrontend:
         selector = _fresh_selector()
         reg = SelectorRegistry()
         reg.register("default", selector)
-        service = SelectionService(reg, max_wait_ms=5.0, queue_limit=64)
+        service = SelectionService(reg, queue_limit=64)
         server = serve(service, port=0)
         request.addfinalizer(server.close)
         host, port = server.address
@@ -441,7 +481,7 @@ class TestWritePath:
     def server(self, selector):
         reg = SelectorRegistry()
         reg.register("default", selector)
-        server = serve(SelectionService(reg, max_wait_ms=1.0), port=0)
+        server = serve(SelectionService(reg), port=0)
         yield server
         server.close()
 
@@ -563,11 +603,27 @@ class TestWritePath:
             assert b"Content-Type: application/json" in head
             assert b"Connection: close" in head
             assert json.loads(body)["error"] == "ServiceError"
-        # HEAD gets the head alone; HTTP/0.9 gets the body alone.
-        head, body = _read_until_close(
-            host, port, b"HEAD /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
-        )
-        assert head.split()[1] == b"501" and body == b""
+        # HEAD gets GET's head alone; HTTP/0.9 gets the body alone.
+        conn = HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            get_body = conn.getresponse().read()
+        finally:
+            conn.close()
+        for path, status, length in (
+            (b"/healthz", b"200", len(get_body)),
+            (b"/nope", b"404", None),
+        ):
+            head, body = _read_until_close(
+                host,
+                port,
+                b"HEAD " + path + b" HTTP/1.1\r\nHost: test\r\n"
+                b"Connection: close\r\n\r\n",
+            )
+            assert head.split()[1] == status and body == b""
+            assert b"Content-Type: application/json" in head
+            if length is not None:
+                assert f"Content-Length: {length}".encode() in head
         reply = b"".join(_read_until_close(host, port, b"POST /select\r\n"))
         assert json.loads(reply)["error"] == "ServiceError"
 

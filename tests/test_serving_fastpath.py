@@ -5,7 +5,7 @@ Three layers, each pinned bit-identical to the code path it replaces:
 - grouped, mask-keyed ``fold_in`` with a per-selector operator cache,
   pinned against the per-row solve loop ``CMF._fold_in_row_loop``;
 - the scheduler's recommendation memo cache keyed by
-  ``(knowledge fingerprint, catalog fingerprint, workload, objective)``
+  ``(knowledge fingerprint, workload, objective)``
   (``rec_cache_size=0`` disables);
 - the HTTP client's pooled keep-alive connections with transparent
   reconnect, plus the wire-level request canonicalization that makes
@@ -17,18 +17,18 @@ from __future__ import annotations
 import json
 import threading
 from http.client import HTTPConnection
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cloud.catalog import ProviderCatalog, get_catalog
 from repro.cloud.vmtypes import catalog
 from repro.core.caching import LRUCache
 from repro.core.cmf import CMF
 from repro.core.persistence import load_selector, save_selector
-from repro.core.vesta import Recommendation, VestaSelector
+from repro.core.vesta import VestaSelector
 from repro.errors import DeadlineExceededError, ServiceError, ValidationError
 from repro.service import (
     MicroBatchScheduler,
@@ -38,10 +38,9 @@ from repro.service import (
     ShardRouter,
     canonical_request,
     recommendation_to_dict,
-    request_key,
 )
 from repro.service.server import serve
-from repro.service.wire import catalog_to_dict, error_to_dict
+from repro.service.wire import error_to_dict
 from repro.telemetry.latency import DurationSummary
 from repro.workloads.catalog import get_workload, target_set, training_set
 
@@ -182,7 +181,7 @@ class TestGroupedFoldIn:
 
 class TestRecommendationMemoCache:
     def test_hit_is_byte_identical_to_cold_and_uncached(self, registry):
-        with MicroBatchScheduler(registry, max_wait_ms=0.0) as sched:
+        with MicroBatchScheduler(registry) as sched:
             miss = sched.select(TARGETS[0])
             hit = sched.select(TARGETS[0])
             stats = sched.stats()
@@ -204,9 +203,7 @@ class TestRecommendationMemoCache:
         ) == 1
 
     def test_lru_bound_and_eviction_counters(self, registry):
-        with MicroBatchScheduler(
-            registry, max_wait_ms=0.0, rec_cache_size=1
-        ) as sched:
+        with MicroBatchScheduler(registry, rec_cache_size=1) as sched:
             sched.select(TARGETS[0])
             sched.select(TARGETS[1])  # evicts TARGETS[0]
             third = sched.select(TARGETS[0])  # miss again
@@ -222,9 +219,7 @@ class TestRecommendationMemoCache:
 
     def test_env_kill_switch(self, registry):
         """``rec_cache_size=0`` switches the memo cache off."""
-        with MicroBatchScheduler(
-            registry, max_wait_ms=0.0, rec_cache_size=0
-        ) as sched:
+        with MicroBatchScheduler(registry, rec_cache_size=0) as sched:
             first = sched.select(TARGETS[0])
             second = sched.select(TARGETS[0])
             stats = sched.stats()
@@ -237,7 +232,7 @@ class TestRecommendationMemoCache:
         ) == 2
 
     def test_objective_is_part_of_the_key(self, registry):
-        with MicroBatchScheduler(registry, max_wait_ms=0.0) as sched:
+        with MicroBatchScheduler(registry) as sched:
             time_rec = sched.select(TARGETS[0], "time")
             budget_rec = sched.select(TARGETS[0], "budget")
             assert not budget_rec.cached
@@ -261,7 +256,7 @@ class TestRecommendationMemoCache:
 
         reg = SelectorRegistry()
         handle_a = reg.load("default", archive_a)
-        with MicroBatchScheduler(reg, max_wait_ms=0.0) as sched:
+        with MicroBatchScheduler(reg) as sched:
             warm = sched.select(TARGETS[0])
             assert sched.select(TARGETS[0]).cached  # cache is live
             handle_b, swapped = reg.reload("default", archive_b)
@@ -284,50 +279,27 @@ class TestRecommendationMemoCache:
             assert rollback.fingerprint == handle_a.fingerprint
             assert _rec_payload(rollback) == _rec_payload(warm)
 
-    def test_selector_double_without_catalog_is_served_uncached(self):
-        """Stats/test doubles lacking catalog identity must flow through
-        the normal path instead of crashing the key builder."""
-
-        def _rec(name, objective):
-            return Recommendation(
-                workload=name,
-                objective=objective,
-                vm_name="stub-vm",
-                predicted_runtime_s=1.0,
-                predicted_budget_usd=2.0,
-                reference_vm_count=1,
-                converged=True,
-                predictions={"stub-vm": 1.0},
-            )
-
-        class _Stub:
-            def online_many(self, specs):
-                return [
-                    SimpleNamespace(
-                        recommend=lambda objective, name=s.name: _rec(
-                            name, objective
-                        )
-                    )
-                    for s in specs
-                ]
-
-        handle = SimpleNamespace(
-            name="default",
-            selector=_Stub(),
-            fingerprint="stub-fingerprint",
-            generation=1,
-            registered_at=0.0,
+    def test_fingerprint_identifies_the_catalog(self):
+        """The memo key holds no catalog fingerprint: the knowledge
+        fingerprint alone must tell the same VMs apart under another
+        pricing rule or another catalog name."""
+        ec2 = get_catalog("ec2")
+        catalogs = (
+            ec2,
+            get_catalog("ec2-spot"),
+            ProviderCatalog("ec2-copy", ec2.vms, ec2.pricing),
         )
-        stub_registry = SimpleNamespace(get=lambda name: handle)
-        with MicroBatchScheduler(stub_registry, max_wait_ms=0.0) as sched:
-            first = sched.select(TARGETS[0])
-            second = sched.select(TARGETS[0])
-            stats = sched.stats()["rec_cache"]
-        assert not first.cached and not second.cached
-        assert stats["size"] == 0 and stats["hits"] == 0
+        assert ec2.vms == catalogs[1].vms == catalogs[2].vms
+        fingerprints = {
+            VestaSelector(
+                vms=VMS, sources=SOURCES[:4], seed=SEED, catalog=cat
+            ).fit().knowledge_fingerprint()
+            for cat in catalogs
+        }
+        assert len(fingerprints) == 3
 
     def test_sharded_fleet_aggregates_cache_counters(self, registry):
-        with ShardRouter(registry, shards=2, max_wait_ms=0.0) as router:
+        with ShardRouter(registry, shards=2) as router:
             miss = router.select(TARGETS[0])
             hit = router.select(TARGETS[0])
             stats = router.stats()
@@ -369,16 +341,6 @@ class TestWireCanonicalization:
             "workload": "spark-lr",
             "objective": "time",
         }
-        base = request_key({"workload": "spark-lr"})
-        assert base == request_key(
-            {"timeout_s": 9, "objective": "time", "workload": "spark-lr"}
-        )
-        assert base != request_key(
-            {"workload": "spark-lr", "objective": "budget"}
-        )
-        assert base != request_key(
-            {"workload": "spark-lr", "selector": "other"}
-        )
 
     def test_invalid_bodies_rejected(self):
         for bad in (
@@ -399,7 +361,7 @@ class TestWireCanonicalization:
 def running(request, foldin_selector):
     reg = SelectorRegistry()
     reg.register("default", foldin_selector)
-    service = SelectionService(reg, max_wait_ms=5.0, queue_limit=64)
+    service = SelectionService(reg, queue_limit=64)
     server = serve(service, port=0)
     request.addfinalizer(server.close)
     host, port = server.address
@@ -478,7 +440,7 @@ class TestServiceFrontendEdges:
         per-shard caches and surface in the fleet-aggregated stats."""
         reg = SelectorRegistry()
         reg.register("default", foldin_selector)
-        with SelectionService(reg, max_wait_ms=0.0, shards=2) as service:
+        with SelectionService(reg, shards=2) as service:
             server = serve(service, port=0)
             try:
                 client = ServiceClient(*server.address)
@@ -499,7 +461,7 @@ class TestServiceFrontendEdges:
             MicroBatchScheduler(registry, rec_cache_size=-1, start=False)
 
     def test_closed_service_refuses_requests(self, registry):
-        service = SelectionService(registry, max_wait_ms=0.0)
+        service = SelectionService(registry)
         service.select(TARGETS[0]).recommendation
         service.close()
         service.close()  # idempotent
@@ -534,7 +496,7 @@ class TestServiceFrontendEdges:
             conn.close()
 
     def test_served_catalogs_map(self, running):
-        catalogs = running.served_catalogs()
+        catalogs = running.statsz()["catalogs"]
         assert catalogs["default"]["catalog"]
         assert catalogs["default"]["catalog_fingerprint"]
 
@@ -550,17 +512,12 @@ class TestServiceFrontendEdges:
         with pytest.raises(OSError):
             client.healthz()
 
-    def test_wire_error_and_catalog_payloads(self, foldin_selector):
+    def test_wire_error_and_catalog_payloads(self):
         deadline = error_to_dict(
             DeadlineExceededError(workload="w", waited_s=1.5, stage="queued")
         )
         assert deadline["error"] == "DeadlineExceededError"
         assert deadline["stage"] == "queued" and deadline["waited_s"] == 1.5
-        identity = catalog_to_dict(foldin_selector.catalog)
-        assert identity == {
-            "catalog": foldin_selector.catalog.name,
-            "catalog_fingerprint": foldin_selector.catalog.fingerprint(),
-        }
 
 
 class TestDurationSummaryReset:

@@ -110,7 +110,7 @@ class TestShardRouting:
                 assert index == shard_for(name, shards)  # deterministic
 
     def test_responses_come_from_the_routed_shard(self, registry, reference):
-        with ShardRouter(registry, shards=4, max_wait_ms=1.0) as router:
+        with ShardRouter(registry, shards=4) as router:
             for name, response in zip(TARGETS, router.select_all(TARGETS)):
                 assert response.shard == router.shard_for(name)
                 _assert_matches_reference(
@@ -143,7 +143,7 @@ class TestShardRouting:
         tmp.mkdir()
         monkeypatch.setenv("TMPDIR", str(tmp))
         monkeypatch.setattr(tempfile, "tempdir", str(tmp))
-        with ShardRouter(registry, shards=2, max_wait_ms=1.0) as router:
+        with ShardRouter(registry, shards=2) as router:
             for name, response in zip(TARGETS, router.select_all(TARGETS)):
                 _assert_matches_reference(
                     response.recommendation, reference[(name, "time")]
@@ -164,8 +164,7 @@ class TestShardBitIdentity:
             for objective in ("time", "budget")
         ] * 2
         with ShardRouter(
-            registry, shards=shards, max_batch=8, max_wait_ms=5.0,
-            queue_limit=256,
+            registry, shards=shards, max_batch=8, queue_limit=256
         ) as router:
             with ThreadPoolExecutor(max_workers=clients) as pool:
                 responses = list(
@@ -508,9 +507,7 @@ class TestShardHotReload:
                 reg.reload("default", archive_b if flip else archive_a)
                 flip = not flip
 
-        with ShardRouter(
-            reg, shards=2, max_batch=4, max_wait_ms=5.0, queue_limit=256
-        ) as router:
+        with ShardRouter(reg, shards=2, max_batch=4, queue_limit=256) as router:
             reload_thread = threading.Thread(target=reloader, daemon=True)
             reload_thread.start()
             try:
@@ -599,16 +596,19 @@ class TestDeadlineEnforcement:
         registry = _stub_registry(_StubSelector(delay_s=0.3))
         spec = get_workload(TARGETS[0])
         with MicroBatchScheduler(
-            registry, max_batch=4, max_wait_ms=1.0, queue_limit=8
+            registry, max_batch=4, queue_limit=8, start=False
         ) as sched:
             doomed = sched.submit(spec, timeout_s=0.05)
             fine = sched.submit(spec)
+            sched.start()  # both are queued: one wave serves them together
             with pytest.raises(DeadlineExceededError) as excinfo:
                 doomed.result(timeout=10)
             assert excinfo.value.stage == "served"
             assert excinfo.value.waited_s >= 0.05
             # The co-traveller without a deadline still gets its answer.
-            assert fine.result(timeout=10).recommendation.vm_name == "stub-vm"
+            response = fine.result(timeout=10)
+            assert response.recommendation.vm_name == "stub-vm"
+            assert response.batch_size == 2
             stats = sched.stats()
         assert stats["expired"] == 1
         assert stats["completed"] == 1
@@ -673,7 +673,7 @@ class TestRetryAfterOnTheWire:
         gate = threading.Event()
         stub = _StubSelector(gate=gate)
         service = SelectionService(
-            _stub_registry(stub), max_batch=1, max_wait_ms=0.0, queue_limit=1
+            _stub_registry(stub), max_batch=1, queue_limit=1
         )
         server = serve(service, port=0)
         request.addfinalizer(server.close)
