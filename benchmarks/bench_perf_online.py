@@ -11,8 +11,9 @@ whole batch with one profiling wave and one batched solve.
 These benches measure both claims against the same fitted knowledge —
 fold-in session latency vs the full-CMF session (≥ 3×) and
 ``select_many`` batch throughput vs sequential ``select`` serving
-(≥ 2× on 8 targets) — and append the numbers to ``BENCH_online.json``
-at the repo root so future PRs can compare.
+(≥ 2× on 8 targets) — plus the fold-in session on the full 100-VM
+catalog, and append the numbers to ``BENCH_online.json`` at the repo
+root so future PRs can compare.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.cloud.vmtypes import catalog
 from repro.core.caching import LRUCache
 from repro.core.persistence import load_selector, save_selector
 from repro.core.vesta import VestaSelector
-from repro.workloads.catalog import target_set, training_set
+from repro.workloads.catalog import all_workloads, target_set, training_set
 
 SOURCES = training_set()[:6]
 VMS = catalog()[:14]
@@ -70,6 +71,38 @@ def test_foldin_session_at_least_3x_faster(serving):
         f"speedup: {speedup:.1f}x"
     )
     assert speedup >= 3.0
+
+
+@pytest.fixture(scope="module")
+def catalog_foldin():
+    """The fold-in selector on the full Table-4 catalog, cells warmed."""
+    selector = VestaSelector(seed=SEED, cmf_mode="foldin").fit()
+    for spec in all_workloads():
+        selector.online(spec)
+    return selector
+
+
+def test_catalog_foldin_session(catalog_foldin):
+    """One uncached online session per Table-3 workload on 100 VMs.
+
+    Every profiling cell is memoized, so the row times what a memo-miss
+    ``/select`` computes: probe plan, signature, label row, fold-in,
+    prediction and the recommendation.
+    """
+    selector = catalog_foldin
+    workloads = all_workloads()
+    picks = [selector.online(spec).recommend().vm_name for spec in workloads]
+    assert picks == [rec.vm_name for rec in selector.select_many(workloads)]
+    seconds = timed(lambda: [selector.online(s).recommend() for s in workloads])
+    record(
+        RESULTS_PATH,
+        catalog_workloads=len(workloads),
+        session_foldin_catalog_ms=round(seconds / len(workloads) * 1e3, 3),
+    )
+    print(
+        f"\nfold-in session on {len(selector.vms)} VMs: "
+        f"{seconds / len(workloads) * 1e3:.2f} ms"
+    )
 
 
 def test_select_many_at_least_2x_sequential(serving):

@@ -14,7 +14,8 @@ in [-1, 1].
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import math
+from collections.abc import Callable
 from typing import Final
 
 import numpy as np
@@ -69,31 +70,33 @@ def correlation_matrix(series: np.ndarray) -> np.ndarray:
     return np.clip(corr, -1.0, 1.0)
 
 
-def _cols(*names: str) -> list[int]:
-    return [METRIC_INDEX[n] for n in names]
+# Derived series used by the Table-1 pairs: each is the sum of these
+# metric columns.  Byte-rate metrics are summed raw; Pearson is
+# scale-invariant so mixed units are harmless.
+_DERIVED_METRICS: Final[dict[str, tuple[str, ...]]] = {
+    "cpu": ("cpu_user", "cpu_system"),
+    "memory": ("mem_used",),
+    "disk": ("disk_read", "disk_write"),
+    "network": ("net_send", "net_recv"),
+    "buffer": ("mem_buffer",),
+    "cache": ("mem_cache",),
+    "iteration": ("data_per_iteration",),
+    "parallelism": ("tasks_compute", "tasks_communication", "tasks_synchronization"),
+    "data": ("data_per_cycle",),
+    "computation": ("tasks_compute",),
+    "cycle": ("cpu_user", "cpu_system"),
+    "synchronization": ("tasks_synchronization",),
+}
 
 
-def _sum(series: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    return series[:, _cols(*names)].sum(axis=1)
+def _derived(cols: list[int]) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda series: series[:, cols].sum(axis=1)
 
 
-# Derived series used by the Table-1 pairs.  Byte-rate metrics are summed
-# raw; Pearson is scale-invariant so mixed units are harmless.
+#: The definitional derived series, one function per name.
 _DERIVED: Final[dict[str, Callable[[np.ndarray], np.ndarray]]] = {
-    "cpu": lambda s: _sum(s, ("cpu_user", "cpu_system")),
-    "memory": lambda s: _sum(s, ("mem_used",)),
-    "disk": lambda s: _sum(s, ("disk_read", "disk_write")),
-    "network": lambda s: _sum(s, ("net_send", "net_recv")),
-    "buffer": lambda s: _sum(s, ("mem_buffer",)),
-    "cache": lambda s: _sum(s, ("mem_cache",)),
-    "iteration": lambda s: _sum(s, ("data_per_iteration",)),
-    "parallelism": lambda s: _sum(
-        s, ("tasks_compute", "tasks_communication", "tasks_synchronization")
-    ),
-    "data": lambda s: _sum(s, ("data_per_cycle",)),
-    "computation": lambda s: _sum(s, ("tasks_compute",)),
-    "cycle": lambda s: _sum(s, ("cpu_user", "cpu_system")),
-    "synchronization": lambda s: _sum(s, ("tasks_synchronization",)),
+    name: _derived([METRIC_INDEX[m] for m in metrics])
+    for name, metrics in _DERIVED_METRICS.items()
 }
 
 #: The ten Table-1 correlation similarities, in table order.  The first
@@ -119,12 +122,31 @@ def _split_pair(name: str) -> tuple[str, str]:
     return left, right
 
 
-#: Derived-series names appearing in the Table-1 pairs, in first-use order.
-_PAIR_MEMBERS: Final[tuple[str, ...]] = tuple(
-    dict.fromkeys(
-        member for name in CORRELATION_NAMES for member in _split_pair(name)
-    )
-)
+def _series_plan() -> tuple[list[tuple[int, list[int]]], list[tuple[int, int]]]:
+    """The distinct derived series of the ten pairs, and each pair's rows.
+
+    ``cpu`` and ``cycle`` are one series.  The series are ordered by how
+    many columns they sum, so :func:`correlation_vector` builds all
+    series of one column count with one reshaped sum.  Returns those
+    groups as ``(column count, their columns, flattened)`` and each pair
+    as two row indices into the series.
+    """
+    member_cols = [
+        tuple(METRIC_INDEX[m] for m in _DERIVED_METRICS[member])
+        for name in CORRELATION_NAMES
+        for member in _split_pair(name)
+    ]
+    series = sorted(dict.fromkeys(member_cols), key=len)
+    row = {cols: i for i, cols in enumerate(series)}
+    groups = [
+        (count, [c for cols in series if len(cols) == count for c in cols])
+        for count in sorted({len(cols) for cols in series})
+    ]
+    rows = [row[cols] for cols in member_cols]
+    return groups, list(zip(rows[::2], rows[1::2]))
+
+
+_GROUPS, _PAIRS = _series_plan()
 
 
 def _check_series(series: np.ndarray) -> np.ndarray:
@@ -143,31 +165,32 @@ def correlation_vector(series: np.ndarray) -> np.ndarray:
     [-1, 1] (0 for degenerate series).
     """
     series = _check_series(series)
-    if series.shape[0] < 2:
+    samples = series.shape[0]
+    if samples < 2:
         return np.zeros(NUM_CORRELATIONS)
-    # Several derived series appear in multiple pairs (and "cpu"/"cycle"
-    # are the same reduction); build each one — and its centered form and
-    # sum of squares — exactly once, then evaluate the ten pairs with the
-    # same contractions :func:`pearson` uses, so results stay bit-identical
-    # with the pairwise definition.
-    centered: dict[str, np.ndarray] = {}
-    sumsq: dict[str, float] = {}
-    for member in _PAIR_MEMBERS:
-        derived = _DERIVED[member](series)
-        c = derived - derived.mean()
-        centered[member] = c
-        sumsq[member] = float(c @ c)
-    out = np.empty(NUM_CORRELATIONS)
-    for i, name in enumerate(CORRELATION_NAMES):
-        left, right = _split_pair(name)
-        denom = float(np.sqrt(sumsq[left] * sumsq[right]))
+    # Each distinct derived series is built once, as a row of one matrix.
+    # Results stay bit-identical with the pairwise :func:`pearson`
+    # definition because every step repeats its arithmetic: a row sums its
+    # columns left to right as ``series[:, cols].sum(axis=1)`` does, a
+    # row's mean reduces the contiguous row as a 1-D mean does, and every
+    # dot product is a 1-D dot of contiguous rows.
+    derived = np.concatenate(
+        [
+            series[:, cols].reshape(samples, -1, count).sum(axis=2).T
+            for count, cols in _GROUPS
+        ]
+    )
+    centered = derived - derived.mean(axis=1, keepdims=True)
+    sumsq = [float(row @ row) for row in centered]
+    out = []
+    for left, right in _PAIRS:
+        denom = math.sqrt(sumsq[left] * sumsq[right])
         if denom <= 1e-12:
-            out[i] = 0.0
+            out.append(0.0)
         else:
-            out[i] = float(
-                np.clip((centered[left] @ centered[right]) / denom, -1.0, 1.0)
-            )
-    return out
+            r = float(centered[left] @ centered[right]) / denom
+            out.append(min(max(r, -1.0), 1.0))
+    return np.array(out)
 
 
 def aggregate_correlation_vectors(vectors: np.ndarray) -> np.ndarray:

@@ -20,13 +20,30 @@ from repro.errors import ValidationError
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.cloud.catalog import PricingModel
 
-__all__ = ["Cluster", "DEFAULT_NODES", "OS_MEMORY_RESERVE_GB"]
+__all__ = [
+    "Cluster",
+    "DEFAULT_NODES",
+    "OS_MEMORY_RESERVE_GB",
+    "usable_mem_per_node_gb",
+]
 
 #: Default worker count when a workload spec does not pin one.
 DEFAULT_NODES = 4
 
 #: Memory reserved per node for the OS + daemons (NodeManager, DataNode...).
 OS_MEMORY_RESERVE_GB = 1.0
+
+
+def usable_mem_per_node_gb(vm: VMType) -> float:
+    """Memory per node of ``vm`` after the OS reserve.
+
+    The reserve is capped at a quarter of node memory so that the
+    catalog's smallest shapes (sub-GB ``c4n.small``) remain usable —
+    they are merely slow, not impossible, which matches how the paper's
+    exhaustive ground-truth sweep treats every Table-4 type.
+    """
+    reserve = min(OS_MEMORY_RESERVE_GB, 0.25 * vm.mem_gb)
+    return vm.mem_gb - reserve
 
 
 @dataclass(frozen=True)
@@ -59,15 +76,8 @@ class Cluster:
 
     @property
     def usable_mem_per_node_gb(self) -> float:
-        """Memory per node after the OS reserve.
-
-        The reserve is capped at a quarter of node memory so that the
-        catalog's smallest shapes (sub-GB ``c4n.small``) remain usable —
-        they are merely slow, not impossible, which matches how the paper's
-        exhaustive ground-truth sweep treats every Table-4 type.
-        """
-        reserve = min(OS_MEMORY_RESERVE_GB, 0.25 * self.vm.mem_gb)
-        return self.vm.mem_gb - reserve
+        """Memory per node after the OS reserve (see :func:`usable_mem_per_node_gb`)."""
+        return usable_mem_per_node_gb(self.vm)
 
     @property
     def usable_mem_gb(self) -> float:

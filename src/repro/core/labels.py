@@ -52,6 +52,23 @@ class LabelSpace:
         self.width = width
         self.softness = softness
         self.intervals = num_intervals(width)
+        self._kernels: dict[int, list[tuple[int, np.ndarray]]] = {}
+
+    def _kernel(self, radius: int) -> list[tuple[int, np.ndarray]]:
+        """Per center interval: the first interval its kernel covers and
+        the L1-normalized triangular weights.  Built once per radius."""
+        kernel = self._kernels.get(radius)
+        if kernel is None:
+            kernel = []
+            for center in range(self.intervals):
+                lo = max(0, center - radius)
+                hi = min(self.intervals - 1, center + radius)
+                idx = np.arange(lo, hi + 1)
+                weights = 1.0 - np.abs(idx - center) / (radius + 1.0)
+                weights /= weights.sum()
+                kernel.append((lo, weights))
+            self._kernels[radius] = kernel
+        return kernel
 
     @property
     def n_features(self) -> int:
@@ -94,15 +111,11 @@ class LabelSpace:
                 f"expected vector of {self.n_features} features, got {vector.shape}"
             )
         row = np.zeros(self.n_labels)
-        radius = 0 if hard else self.softness
-        for f, value in enumerate(vector):
-            center = interval_of(float(value), self.width)
-            lo = max(0, center - radius)
-            hi = min(self.intervals - 1, center + radius)
-            idx = np.arange(lo, hi + 1)
-            weights = 1.0 - np.abs(idx - center) / (radius + 1.0)
-            weights /= weights.sum()
-            row[f * self.intervals + idx] = weights
+        kernel = self._kernel(0 if hard else self.softness)
+        for f, value in enumerate(vector.tolist()):
+            lo, weights = kernel[interval_of(value, self.width)]
+            start = f * self.intervals + lo
+            row[start : start + weights.size] = weights
         return row
 
     def membership_matrix(

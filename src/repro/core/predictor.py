@@ -37,16 +37,37 @@ def _affine_log_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares fit ``y ≈ a + b·x`` with the slope clipped sanely.
 
     Degenerate inputs (fewer than 2 distinct x) fall back to the pure
-    scale calibration ``b = 1``.
+    scale calibration ``b = 1``.  Needs at least one point.
     """
-    if x.size < 2 or float(np.ptp(x)) < 1e-9:
-        b = 1.0
-    else:
-        xc = x - x.mean()
-        b = float((xc @ (y - y.mean())) / (xc @ xc))
-        b = float(np.clip(b, *_SLOPE_RANGE))
-    a = float(y.mean() - b * x.mean())
-    return a, b
+    (a,), (b,) = _affine_log_fits(x[None, :], y)
+    return float(a), float(b)
+
+
+def _affine_log_fits(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_affine_log_fit` of ``y`` against each row of ``x``.
+
+    ``x`` is ``(fits, points)``; returns the intercepts and slopes.  Each
+    row's fit is bit-identical to the 1-D one, ``b = xc @ (y - y.mean())
+    / (xc @ xc)`` with ``xc = x - x.mean()``: a row's mean reduces the
+    contiguous row as the 1-D mean does, and both contractions are 1-D
+    dots of contiguous rows.
+    """
+    x = np.ascontiguousarray(x)
+    x_mean = x.mean(axis=1)
+    y_mean = y.mean()
+    yc = y - y_mean
+    centered = x - x_mean[:, None]
+    spread = (x.max(axis=1) - x.min(axis=1)).tolist()
+    lo, hi = _SLOPE_RANGE
+    slopes = []
+    for xc, ptp in zip(centered, spread):
+        if ptp < 1e-9:
+            slopes.append(1.0)
+        else:
+            b = float(xc @ yc) / float(xc @ xc)
+            slopes.append(min(max(b, lo), hi))
+    b = np.array(slopes)
+    return y_mean - b * x_mean, b
 
 
 class SimilarityPredictor:
@@ -91,6 +112,7 @@ class SimilarityPredictor:
         self.rows = source_rows
         self.top_m = min(top_m, perf_matrix.shape[0])
         self.temperature = temperature
+        self._log_perf = np.log(perf_matrix)
         norms = np.linalg.norm(source_rows, axis=1)
         self._row_norms = np.where(norms > 0, norms, 1.0)
 
@@ -182,10 +204,14 @@ class SimilarityPredictor:
         # the large end of the catalog when transferring Hadoop profiles
         # to Spark.
         log_obs = np.log(probe_runtimes)
+        log_perf = self._log_perf[active]
+        a, b = _affine_log_fits(log_perf[:, probe_vm_idx], log_obs)
+        terms = weights[active, None] * (a[:, None] + b[:, None] * log_perf)
+        # Summed one source at a time, in source order: the bits depend
+        # on the order of the additions.
         log_pred = np.zeros(self.perf.shape[1])
-        for i in active:
-            a_i, b_i = _affine_log_fit(np.log(self.perf[i, probe_vm_idx]), log_obs)
-            log_pred += weights[i] * (a_i + b_i * np.log(self.perf[i]))
+        for term in terms:
+            log_pred += term
         pred = np.exp(log_pred)
 
         if affinity is not None and affinity_weight > 0:

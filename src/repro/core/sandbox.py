@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cloud.cluster import Cluster
+from repro.cloud.cluster import usable_mem_per_node_gb
 from repro.cloud.vmtypes import VMType, catalog
 from repro.errors import ValidationError
-from repro.frameworks.base import HDFS_SPLIT_GB
+from repro.frameworks.base import HDFS_SPLIT_GB, TASK_MEMORY_FLOOR_GB
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["choose_sandbox_vm", "choose_probe_vms"]
@@ -46,20 +46,20 @@ def choose_sandbox_vm(
     distort the correlation signature the online phase is built on.
     Falls back to the largest-memory VM if nothing qualifies.
     """
-    from repro.frameworks.base import TASK_MEMORY_FLOOR_GB
-
     vms = catalog() if vms is None else vms
     if not vms:
         raise ValidationError("empty VM candidate set")
     task_mem = max(HDFS_SPLIT_GB * spec.demand.mem_blowup, TASK_MEMORY_FLOOR_GB)
+    min_usable = _SANDBOX_MIN_MEM_FLOORS * TASK_MEMORY_FLOOR_GB
     feasible = []
     for vm in vms:
         if vm.cpu_speed < _SANDBOX_MIN_SPEED:
             continue
-        cluster = Cluster(vm=vm, nodes=spec.nodes)
-        if cluster.usable_mem_per_node_gb < _SANDBOX_MIN_MEM_FLOORS * TASK_MEMORY_FLOOR_GB:
-            continue
-        if cluster.concurrent_tasks_per_node(task_mem) >= 1:
+        # Per-node tests, so no Cluster is built: ``usable // task_mem >= 1``
+        # is ``Cluster.concurrent_tasks_per_node(task_mem) >= 1`` (every VM
+        # has a vCPU).
+        usable = usable_mem_per_node_gb(vm)
+        if usable >= min_usable and usable // task_mem >= 1:
             feasible.append(vm)
     if not feasible:
         return max(vms, key=lambda vm: vm.mem_gb)
@@ -94,14 +94,22 @@ def choose_probe_vms(
     if count < 0:
         raise ValidationError("count must be >= 0")
     vms = catalog() if vms is None else vms
-    pool = [vm for vm in vms if vm.name not in set(exclude)]
+    excluded = set(exclude)
+    pool = [vm for vm in vms if vm.name not in excluded]
     if count > len(pool):
         raise ValidationError(
             f"cannot pick {count} probes from {len(pool)} candidates"
         )
     rng = np.random.default_rng(seed)
+    # Catalog VM names are unique, so a name set tracks the picks.
     chosen: list[VMType] = []
+    chosen_names: set[str] = set()
     families_used: set[str] = set()
+
+    def take(vm: VMType) -> None:
+        chosen.append(vm)
+        chosen_names.add(vm.name)
+        families_used.add(vm.family)
 
     for stratum in _SIZE_STRATA:
         if len(chosen) == count:
@@ -109,13 +117,12 @@ def choose_probe_vms(
         candidates = [
             vm
             for vm in pool
-            if vm.size in stratum and vm not in chosen and vm.family not in families_used
+            if vm.size in stratum
+            and vm.name not in chosen_names
+            and vm.family not in families_used
         ]
-        if not candidates:
-            continue
-        pick = candidates[int(rng.integers(len(candidates)))]
-        chosen.append(pick)
-        families_used.add(pick.family)
+        if candidates:
+            take(candidates[int(rng.integers(len(candidates)))])
 
     # Extra probes (count > strata) or sparse pools: fill from distinct
     # families first, then uniformly.
@@ -124,14 +131,12 @@ def choose_probe_vms(
         if len(chosen) == count:
             break
         vm = pool[idx]
-        if vm in chosen or vm.family in families_used:
-            continue
-        chosen.append(vm)
-        families_used.add(vm.family)
+        if vm.name not in chosen_names and vm.family not in families_used:
+            take(vm)
     for idx in order:
         if len(chosen) == count:
             break
         vm = pool[idx]
-        if vm not in chosen:
-            chosen.append(vm)
+        if vm.name not in chosen_names:
+            take(vm)
     return tuple(chosen)

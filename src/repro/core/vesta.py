@@ -32,6 +32,7 @@ sandbox-estimated row, mirroring the paper's converge limitation.
 from __future__ import annotations
 
 import zlib
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,13 @@ from repro.telemetry.campaign import ProfileCache, ProfilingCampaign, outcome_va
 from repro.workloads.catalog import training_set
 from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["VestaSelector", "OnlineSession", "Recommendation", "NEAR_BEST_TAU"]
+__all__ = [
+    "VestaSelector",
+    "OnlineSession",
+    "Recommendation",
+    "Predictions",
+    "NEAR_BEST_TAU",
+]
 
 #: Hyperparameters :meth:`VestaSelector.refit` may change.  Everything
 #: that defines the profiling campaign itself (seed, repetitions, VM and
@@ -104,10 +111,58 @@ def _probe_plan(
     return sandbox, probes
 
 
+class Predictions(Mapping):
+    """Read-only ``{vm_name: predicted runtime}`` in catalog order.
+
+    A view over a session's frozen runtime array and its selector's
+    VM-name tuple, so a served :class:`Recommendation` holds one array
+    instead of a dict of Python floats.  Values read as ``float``;
+    :meth:`items` and :meth:`values` read the array with one ``tolist()``,
+    so ``dict(predictions.items())`` costs no per-VM lookup.
+    """
+
+    __slots__ = ("_names", "_runtimes")
+
+    def __init__(self, names: tuple[str, ...], runtimes: np.ndarray) -> None:
+        self._names = names
+        self._runtimes = runtimes
+
+    def __getitem__(self, name: str) -> float:
+        try:
+            return self._runtimes.item(self._names.index(name))
+        except ValueError:
+            raise KeyError(name) from None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def _as_dict(self) -> dict[str, float]:
+        return dict(zip(self._names, self._runtimes.tolist()))
+
+    def items(self) -> ItemsView[str, float]:
+        return self._as_dict().items()
+
+    def values(self) -> ValuesView[float]:
+        return self._as_dict().values()
+
+    def __reduce__(self):
+        return type(self), (self._names, self._runtimes)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._as_dict()!r})"
+
+
 @dataclass(frozen=True)
 class Recommendation:
     """Outcome of one online selection.
 
+    ``predictions`` maps every catalog VM, in catalog order, to its
+    predicted P90 runtime in seconds: a read-only :class:`Predictions`
+    over the session's runtime array (a wire round trip gives a plain
+    dict, which compares equal).
     ``reference_vm_count`` is the training-overhead currency of Figure 8:
     how many distinct VM types the target workload was actually run on.
     ``degraded`` flags a selection that survived permanent probe failures
@@ -128,7 +183,7 @@ class Recommendation:
     predicted_budget_usd: float
     reference_vm_count: int
     converged: bool
-    predictions: dict[str, float] = field(repr=False)
+    predictions: Mapping[str, float] = field(repr=False)
     degraded: bool = False
     failed_probes: tuple[str, ...] = ()
     fault_events: tuple[FaultEvent, ...] = field(default=(), repr=False)
@@ -389,9 +444,7 @@ class OnlineSession:
             predicted_budget_usd=budget,
             reference_vm_count=self.reference_vm_count,
             converged=self.converged,
-            predictions={
-                vm.name: float(rt) for vm, rt in zip(self._sel.vms, runtimes)
-            },
+            predictions=Predictions(self._sel._vm_names, runtimes),
             degraded=self.degraded,
             failed_probes=self.failed_probes,
             fault_events=self.fault_events,
@@ -540,7 +593,8 @@ class VestaSelector:
             self.store = ArtifactStore(str(store))
         self.pipeline = KnowledgePipeline(self)
 
-        self._vm_index = {vm.name: i for i, vm in enumerate(self.vms)}
+        self._vm_names = tuple(vm.name for vm in self.vms)
+        self._vm_index = {name: i for i, name in enumerate(self._vm_names)}
         # Effective hourly rates and billing floors under the catalog's
         # pricing rule; for the default EC2 catalog these are exactly the
         # list prices and the 60 s constant (bitwise).

@@ -76,7 +76,7 @@ def recommendation_to_dict(rec: Recommendation) -> dict:
         "degraded": rec.degraded,
         "failed_probes": list(rec.failed_probes),
         "fault_events": [asdict(e) for e in rec.fault_events],
-        "predictions": dict(rec.predictions),
+        "predictions": dict(rec.predictions.items()),
     }
 
 

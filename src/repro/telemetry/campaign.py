@@ -631,8 +631,11 @@ class ProfilingCampaign:
         process (which may not start children), runs the wave inline.
         Tasks ship in chunks (≈4 per worker) so per-submission IPC cost
         is amortised over many cheap simulations.  Order of returns is
-        arbitrary.
+        arbitrary.  A wave with no misses returns at once, without asking
+        the OS for its CPU count.
         """
+        if not tasks:
+            return []
         workers = min(os.cpu_count() or 1, len(tasks) // _CELLS_PER_WORKER)
         if workers < 2 or multiprocessing.current_process().daemon:
             return _run_batch(tasks)

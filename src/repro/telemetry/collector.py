@@ -28,6 +28,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -88,11 +89,13 @@ class WorkloadProfile:
     timeseries: np.ndarray
     spilled: bool
 
-    @property
+    # Computed on first read and kept: a memoized profile is read by
+    # every session that runs its cell.
+    @cached_property
     def runtime_p90(self) -> float:
         return float(np.percentile(self.runtimes, P90))
 
-    @property
+    @cached_property
     def budget_p90(self) -> float:
         return float(np.percentile(self.budgets, P90))
 

@@ -258,6 +258,44 @@ class TestPersistenceCompatibility:
                 got = json.loads(json.dumps(recommendation_to_dict(rec)))
                 assert got == payload, (wname, objective)
 
+    def test_full_catalog_foldin_archive_bit_identical(self):
+        """Every Table-3 workload on the 100-VM catalog serves the pinned bytes.
+
+        The archive is ``save_selector(VestaSelector(seed=7,
+        cmf_mode="foldin").fit())``; loading it instead of fitting keeps
+        the pin independent of K-Means and ALS arithmetic.  Its catalog
+        holds non-burstable VMs, so the sandbox feasibility rule and the
+        full 100-VM prediction vector are both under the pin.  The
+        expected file holds the SHA-256 of ``json.dumps`` of each
+        payload: every workload × objective, plus one ``select_many``.
+        """
+        import hashlib
+
+        from repro.core.persistence import load_selector
+        from repro.service.wire import recommendation_to_dict
+        from repro.workloads.catalog import all_workloads
+
+        def digest(rec):
+            return hashlib.sha256(
+                json.dumps(recommendation_to_dict(rec)).encode()
+            ).hexdigest()
+
+        expected = json.loads((DATA / "vesta_v4_ec2_foldin_expected.json").read_text())
+        v = load_selector(DATA / "vesta_v4_ec2_foldin.npz")
+        assert len(v.vms) == 100 and v.cmf_mode == "foldin"
+        assert v.knowledge_fingerprint() == expected["knowledge_fingerprint"]
+        assert v.pipeline.fingerprints() == expected["stage_fingerprints"]
+        workloads = all_workloads()
+        got = {
+            f"{w.name}/{objective}": digest(v.select(w, objective=objective))
+            for w in workloads
+            for objective in ("time", "budget")
+        }
+        assert got == expected["select"]
+        many = expected["select_many"]
+        recs = v.select_many(workloads, objective=many["objective"])
+        assert [digest(r) for r in recs] == many["digests"]
+
     def test_v1_archive_loads_as_implicit_ec2(self):
         from repro.core.persistence import load_selector
 

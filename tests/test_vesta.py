@@ -1,9 +1,11 @@
 """Tests for the end-to-end VestaSelector (Algorithm 1)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core.vesta import OnlineSession, Recommendation, VestaSelector
+from repro.core.vesta import OnlineSession, Predictions, Recommendation, VestaSelector
 from repro.errors import ValidationError
 from repro.workloads.catalog import get_workload, training_set
 
@@ -242,3 +244,139 @@ class TestCorrelationProbeSelection:
             family = [v for v in catalog() if v.family == vm.family]
             best = min(abs(ladder.index(v.size) - mid) for v in family)
             assert abs(ladder.index(vm.size) - mid) == best
+
+
+class TestCompactPredictions:
+    """``Recommendation.predictions`` is a read-only view over one array.
+
+    Served on the 100-VM Table-4 catalog (the checked-in fold-in archive
+    of ``VestaSelector(seed=7, cmf_mode="foldin")``), so a served answer's
+    footprint is the full catalog's.
+    """
+
+    ARCHIVE = Path(__file__).parent / "data" / "vesta_v4_ec2_foldin.npz"
+
+    @pytest.fixture(scope="class")
+    def selector(self):
+        from repro.core.persistence import load_selector
+
+        return load_selector(self.ARCHIVE)
+
+    @pytest.fixture(scope="class")
+    def served(self, selector):
+        session = selector.online(get_workload("spark-lr"))
+        return session, session.recommend("budget")
+
+    def test_equals_catalog_dict_of_floats(self, selector, served):
+        session, rec = served
+        expected = {
+            vm.name: float(rt) for vm, rt in zip(selector.vms, session.predict_runtimes())
+        }
+        assert isinstance(rec.predictions, Predictions)
+        assert len(rec.predictions) == len(selector.vms) == 100
+        assert list(rec.predictions) == [vm.name for vm in selector.vms]
+        assert dict(rec.predictions) == expected
+        assert list(dict(rec.predictions.items()).items()) == list(expected.items())
+        assert list(rec.predictions.values()) == list(expected.values())
+        assert rec.predictions == expected and expected == rec.predictions
+        values = [rec.predictions[name] for name in expected]
+        values += list(rec.predictions.values())
+        values += [v for _, v in rec.predictions.items()]
+        assert all(type(v) is float for v in values)
+        assert ("m5.xlarge", expected["m5.xlarge"]) in rec.predictions.items()
+        assert "no-such-vm" not in rec.predictions
+        assert rec.predictions.get("no-such-vm") is None
+        with pytest.raises(KeyError):
+            rec.predictions["no-such-vm"]
+        with pytest.raises(TypeError):
+            rec.predictions["m5.xlarge"] = 1.0  # type: ignore[index]
+        assert repr(rec.predictions).startswith("Predictions({'")
+
+    def test_backed_by_the_session_array(self, selector, served):
+        session, rec = served
+        assert rec.predictions._runtimes is session.predict_runtimes()
+        assert rec.predictions._names is selector._vm_names
+        assert not rec.predictions._runtimes.flags.writeable
+
+    def test_survives_pickle_and_the_wire(self, served):
+        import json
+        import pickle
+
+        from repro.service.wire import recommendation_to_dict
+
+        _, rec = served
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec
+        assert isinstance(back.predictions, Predictions)
+        assert list(back.predictions.items()) == list(rec.predictions.items())
+        payload = recommendation_to_dict(rec)
+        wire = json.loads(json.dumps(payload))["predictions"]
+        assert wire == rec.predictions
+        assert list(wire) == list(rec.predictions)
+        assert json.dumps(wire) == json.dumps(payload["predictions"])
+
+    def test_wire_copy_is_one_tolist(self, served, monkeypatch):
+        """The wire dict comes from one ``tolist()``, with no per-VM lookup:
+        a memo-hit ``/select`` serializes it on every request."""
+        import dataclasses
+
+        from repro.service.wire import recommendation_to_dict
+
+        _, rec = served
+        calls = []
+
+        class CountingArray(np.ndarray):
+            def tolist(self):
+                calls.append("tolist")
+                return super().tolist()
+
+        def no_lookup(self, name):
+            raise AssertionError(f"per-VM lookup of {name!r}")
+
+        counted = dataclasses.replace(
+            rec,
+            predictions=Predictions(
+                rec.predictions._names,
+                rec.predictions._runtimes.view(CountingArray),
+            ),
+        )
+        monkeypatch.setattr(Predictions, "__getitem__", no_lookup)
+        payload = recommendation_to_dict(counted)
+        assert calls == ["tolist"]
+        assert type(payload["predictions"]) is dict
+        assert list(payload["predictions"].values()) == rec.predictions._runtimes.tolist()
+
+    def test_served_responses_retain_under_2kb_each(self, selector):
+        """200 served answers on the 100-VM catalog keep < 2 KB apiece.
+
+        A dict of 100 Python floats alone takes about 5.7 KB; the view
+        keeps the session's 800-byte runtime array and a shared name tuple.
+        """
+        import gc
+        import tracemalloc
+
+        from repro.service import SelectionService, SelectorRegistry
+        from repro.workloads.catalog import all_workloads
+
+        registry = SelectorRegistry()
+        registry.reload("default", self.ARCHIVE)
+        service = SelectionService(registry, rec_cache_size=0)
+        try:
+            scheduler = service.scheduler()
+            keys = [(w.name, o) for w in all_workloads() for o in ("time", "budget")]
+            for name, objective in keys:  # warm every profiling cell
+                scheduler.select(name, objective)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = [scheduler.select(*keys[i % len(keys)]) for i in range(200)]
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        finally:
+            service.close()
+        assert len(kept) == 200
+        assert all(len(r.recommendation.predictions) == 100 for r in kept)
+        assert retained / len(kept) < 2048, f"{retained / len(kept):.0f} B per response"
