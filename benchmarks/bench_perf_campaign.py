@@ -3,20 +3,19 @@
 The campaign is the repo's dominant wall-clock cost (the 30 × 100 × 10
 offline sweep); these benches measure the cold sweep (which rides the
 vectorized batch simulator), the per-cell scalar reference it must stay
-bit-identical to (a plain :class:`DataCollector` loop), inline versus
-process-pool waves on either side of the campaign's size rule, and the
-content-addressed cache — and assert the headline claim: a warm cache
-beats the cold sweep by ≥2×.  The inline-versus-pool medians land in
-``BENCH_sim.json`` with the CPU count they ran on.
+bit-identical to (a plain :class:`DataCollector` loop), and inline versus
+process-pool waves on either side of the campaign's size rule.  The
+inline-versus-pool medians land in ``BENCH_sim.json`` with the CPU count
+they ran on.  Warm reuse across processes is the artifact store's job
+(``bench_perf_refit.py``).
 """
 
 import os
 import statistics
 import time
 
-import numpy as np
 import pytest
-from trajectory import ROOT, record, timed
+from trajectory import ROOT, record
 
 import repro.telemetry.campaign as campaign_module
 from repro.cloud.vmtypes import catalog
@@ -95,60 +94,3 @@ def test_inline_vs_pool_around_the_size_rule():
         **rows,
     )
     print("\n" + "   ".join(f"{key}: {value}" for key, value in rows.items()))
-
-
-def test_perf_campaign_warm_cache(benchmark, tmp_path):
-    """Warm persistent cache: every cell served from sqlite."""
-    path = str(tmp_path / "cache.sqlite")
-    ProfilingCampaign(repetitions=REPS, seed=SEED, cache=path).collect_grid(
-        SPECS, VMS
-    )
-
-    def warm():
-        # Fresh campaign each round: the in-process memo starts empty, so
-        # this times actual sqlite reads, not dict lookups.
-        campaign = ProfilingCampaign(repetitions=REPS, seed=SEED, cache=path)
-        grid = campaign.collect_grid(SPECS, VMS)
-        assert campaign.counters.computed == 0
-        return grid
-
-    grid = benchmark(warm)
-    assert len(grid) == len(SPECS) * len(VMS)
-
-
-def test_warm_cache_at_least_2x_faster_than_cold_serial(tmp_path):
-    """The acceptance bar: warm-cache regeneration ≥2× the cold sweep."""
-    path = str(tmp_path / "cache.sqlite")
-
-    cold = timed(
-        lambda: ProfilingCampaign(repetitions=REPS, seed=SEED).collect_grid(
-            SPECS, VMS
-        )
-    )
-    ProfilingCampaign(repetitions=REPS, seed=SEED, cache=path).collect_grid(
-        SPECS, VMS
-    )
-    warm = timed(
-        lambda: ProfilingCampaign(
-            repetitions=REPS, seed=SEED, cache=path
-        ).collect_grid(SPECS, VMS)
-    )
-    speedup = cold / warm
-    print(f"\ncold serial: {cold * 1e3:.1f} ms   warm cache: {warm * 1e3:.1f} ms   "
-          f"speedup: {speedup:.1f}x")
-    assert speedup >= 2.0
-
-
-def test_warm_cache_results_identical_to_cold(tmp_path):
-    """Speed must not change a single bit of the profiles."""
-    path = str(tmp_path / "cache.sqlite")
-    cold = ProfilingCampaign(repetitions=REPS, seed=SEED, cache=path)
-    grid_cold = cold.collect_grid(SPECS, VMS)
-    warm = ProfilingCampaign(repetitions=REPS, seed=SEED, cache=path)
-    grid_warm = warm.collect_grid(SPECS, VMS)
-    for key in grid_cold:
-        np.testing.assert_array_equal(grid_cold[key].runtimes, grid_warm[key].runtimes)
-        np.testing.assert_array_equal(
-            grid_cold[key].timeseries, grid_warm[key].timeseries
-        )
-    assert warm.counters.hit_rate == 1.0

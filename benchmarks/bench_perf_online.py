@@ -21,7 +21,6 @@ import pytest
 from trajectory import ROOT, record, timed
 
 from repro.cloud.vmtypes import catalog
-from repro.core.caching import LRUCache
 from repro.core.persistence import load_selector, save_selector
 from repro.core.vesta import VestaSelector
 from repro.workloads.catalog import all_workloads, target_set, training_set
@@ -138,8 +137,8 @@ def test_grouped_foldin_at_least_1_5x_row_loop(serving):
 
     Serving batches repeat mask patterns heavily (every request probed
     on the same planned VM subset shares one bit-pattern), so the
-    grouped path solves one stacked system per distinct mask and reuses
-    the gram operator from the mask-keyed cache.  A batch of 64 rows
+    grouped path builds one gram operator and solves one stacked system
+    per distinct mask.  A batch of 64 rows
     over ≤ 4 distinct masks — the repeat-heavy shape — must be at least
     1.5x faster than the row loop while producing the same bytes.
     """
@@ -153,12 +152,11 @@ def test_grouped_foldin_at_least_1_5x_row_loop(serving):
     assert len({m.tobytes() for m in masks}) <= 4
 
     loop_result = cmf._fold_in_row_loop(L, rows, masks)
-    cache = LRUCache(maxsize=16)
-    grouped_result = cmf.fold_in(L, rows, masks, operator_cache=cache)
+    grouped_result = cmf.fold_in(L, rows, masks)
     assert grouped_result.tobytes() == loop_result.tobytes()
 
     loop_s = timed(lambda: cmf._fold_in_row_loop(L, rows, masks))
-    grouped_s = timed(lambda: cmf.fold_in(L, rows, masks, operator_cache=cache))
+    grouped_s = timed(lambda: cmf.fold_in(L, rows, masks))
     speedup = loop_s / grouped_s
     record(
         RESULTS_PATH,

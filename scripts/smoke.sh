@@ -36,6 +36,24 @@ if [ "$status" -ne 1 ] || [ "$(wc -l < "$tmp/stderr")" -ne 1 ]; then
     exit 1
 fi
 
+echo "== warm artifact store (same bytes; every cached stage reused) =="
+python -m repro select spark-lr --store "$tmp/s.sqlite" --json > "$tmp/cold.json"
+python -m repro select spark-lr --store "$tmp/s.sqlite" --json > "$tmp/warm.json"
+if ! cmp -s "$tmp/cold.json" "$tmp/warm.json"; then
+    echo "warm-store select answered other bytes than the cold one:" >&2
+    diff "$tmp/cold.json" "$tmp/warm.json" >&2 || true
+    exit 1
+fi
+reused=$(python -m repro select spark-lr --store "$tmp/s.sqlite" \
+    | sed -n 's/^ *stages reused from store: //p')
+for stage in perf_matrix corr_signatures feature_selection labels_u affinity_v source_factors; do
+    case ", $reused, " in
+        *", $stage, "*) ;;
+        *) echo "warm store did not reuse $stage (reused: ${reused:-nothing})" >&2
+           exit 1 ;;
+    esac
+done
+
 echo "== simulator core (batch of 64 cells vs scalar loop) =="
 python -m pytest -q benchmarks/bench_perf_simulator.py
 

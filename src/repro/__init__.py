@@ -21,7 +21,7 @@ paper-vs-measured record of every table and figure.
 
 from repro.cloud import Cluster, VMType, catalog, get_vm_type
 from repro.frameworks import simulate_run
-from repro.telemetry import DataCollector, MetricsStore, ProfileCache, ProfilingCampaign
+from repro.telemetry import DataCollector, MetricsStore, ProfilingCampaign
 from repro.workloads import WorkloadSpec, all_workloads, get_workload
 
 __version__ = "1.0.0"
@@ -30,7 +30,6 @@ __all__ = [
     "Cluster",
     "DataCollector",
     "MetricsStore",
-    "ProfileCache",
     "ProfilingCampaign",
     "VMType",
     "WorkloadSpec",

@@ -18,7 +18,7 @@ from repro.cloud.vmtypes import VMType
 from repro.core.artifacts import ArtifactStore
 from repro.core.pipeline import shared_perf_rows
 from repro.errors import ValidationError
-from repro.telemetry.campaign import ProfileCache, ProfilingCampaign
+from repro.telemetry.campaign import ProfilingCampaign
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["GroundTruth"]
@@ -44,7 +44,6 @@ class GroundTruth:
         *,
         repetitions: int = 10,
         seed: int = 0,
-        cache: ProfileCache | str | None = None,
         faults: FaultPlan | None = None,
         store: ArtifactStore | str | None = None,
         catalog: ProviderCatalog | str | None = None,
@@ -57,7 +56,6 @@ class GroundTruth:
         self.campaign = ProfilingCampaign(
             repetitions=repetitions,
             seed=seed,
-            cache=cache,
             faults=faults,
             catalog=self.catalog,
         )

@@ -32,7 +32,7 @@ from repro.cloud.vmtypes import VMType
 from repro.core.artifacts import ArtifactStore
 from repro.core.pipeline import shared_perf_rows
 from repro.errors import CatalogError, ValidationError
-from repro.telemetry.campaign import ProfileCache, ProfilingCampaign
+from repro.telemetry.campaign import ProfilingCampaign
 from repro.telemetry.metrics import METRIC_INDEX
 from repro.workloads.spec import WorkloadSpec
 
@@ -77,8 +77,8 @@ class Paris:
         Data Collector repetitions for fingerprinting/training runs.
     seed:
         Master seed.
-    cache, faults:
-        Persistent profile cache and optional fault-injection plan (see
+    faults:
+        Optional fault-injection plan (see
         :class:`~repro.telemetry.campaign.ProfilingCampaign`).
     store:
         Optional :class:`~repro.core.artifacts.ArtifactStore` (or path)
@@ -95,7 +95,6 @@ class Paris:
         n_estimators: int = 40,
         repetitions: int = 10,
         seed: int = 0,
-        cache: ProfileCache | str | None = None,
         faults: FaultPlan | None = None,
         store: ArtifactStore | str | None = None,
         catalog: ProviderCatalog | str | None = None,
@@ -122,7 +121,6 @@ class Paris:
         self.campaign = ProfilingCampaign(
             repetitions=repetitions,
             seed=seed,
-            cache=cache,
             faults=faults,
             catalog=self.catalog,
         )

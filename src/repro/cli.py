@@ -5,7 +5,7 @@ Commands
 ``catalog``       list the Table-4 VM types (optionally one family)
 ``workloads``     list the Table-3 workload suite and its splits
 ``simulate``      run one workload on one VM type and print the profile
-``profile``       run the offline profiling campaign (parallel + cached)
+``profile``       run the offline profiling campaign (parallel + memoized)
 ``select``        fit Vesta and recommend a VM type for a workload
 ``experiment``    regenerate one paper artifact (``fig06``, ``tab01``, ...)
 ``latency``       batch-latency/throughput report for a workload on VM types
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
 
     p_prof = sub.add_parser(
-        "profile", help="run the offline profiling campaign (parallel + cached)"
+        "profile", help="run the offline profiling campaign (parallel + memoized)"
     )
     p_prof.add_argument(
         "--workloads", nargs="*", metavar="NAME",
@@ -96,10 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--vms", nargs="*", metavar="VM",
         help="VM type names (default: the full Table-4 catalog)",
-    )
-    p_prof.add_argument(
-        "--cache", default=None,
-        help="persistent profile-cache sqlite path (default: none)",
     )
     p_prof.add_argument("--reps", type=int, default=10, help="repetitions (P90)")
     p_prof.add_argument("--seed", type=int, default=0)
@@ -139,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--seed", type=int, default=7)
     p_sel.add_argument(
         "--top", type=int, default=5, help="also show the top-N predictions"
-    )
-    p_sel.add_argument(
-        "--cache", default=None,
-        help="persistent profile-cache sqlite path (default: none)",
     )
     p_sel.add_argument(
         "--faults", default=None, metavar="SPEC",
@@ -243,10 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument("--seed", type=int, default=7, help="fresh-fit seed")
     p_srv.add_argument(
-        "--cache", default=None,
-        help="persistent profile-cache sqlite path (default: none)",
-    )
-    p_srv.add_argument(
         "--store", default=None,
         help="stage-artifact store sqlite path (default: none)",
     )
@@ -312,10 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="completion mode for a fresh fit or archive override",
     )
     p_learn.add_argument("--seed", type=int, default=7, help="fresh-fit seed")
-    p_learn.add_argument(
-        "--cache", default=None,
-        help="persistent profile-cache sqlite path (default: none)",
-    )
     p_learn.add_argument(
         "--store", default=None,
         help="stage-artifact store sqlite path (default: none)",
@@ -437,13 +421,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     vms = tuple(cat.get(n) for n in args.vms) if args.vms else cat.vms
     faults = _fault_plan(args)
     campaign = ProfilingCampaign(
-        repetitions=args.reps, seed=args.seed, cache=args.cache,
-        faults=faults, catalog=cat,
+        repetitions=args.reps, seed=args.seed, faults=faults, catalog=cat
     )
     print(
         f"campaign: {len(specs)} workloads x {len(vms)} VM types "
-        f"(catalog: {cat.name}, "
-        f"cache: {args.cache or 'in-process'}"
+        f"(catalog: {cat.name}"
         f"{', faults on' if campaign.faults is not None else ''})"
     )
     if args.full:
@@ -471,8 +453,7 @@ def _build_selector(args: argparse.Namespace, *, announce: bool = True):
 
     if getattr(args, "archive", None):
         vesta = load_selector(
-            args.archive, cache=args.cache,
-            faults=_fault_plan(args), store=args.store,
+            args.archive, faults=_fault_plan(args), store=args.store
         )
         if args.cmf_mode is not None and args.cmf_mode != vesta.cmf_mode:
             vesta.refit(cmf_mode=args.cmf_mode)
@@ -483,8 +464,7 @@ def _build_selector(args: argparse.Namespace, *, announce: bool = True):
     if announce:
         print("fitting offline knowledge (source workloads x full catalog)...")
     return VestaSelector(
-        seed=args.seed, cache=args.cache,
-        faults=_fault_plan(args), store=args.store,
+        seed=args.seed, faults=_fault_plan(args), store=args.store,
         cmf_mode=args.cmf_mode or "full",
         catalog=getattr(args, "catalog", None),
     ).fit()

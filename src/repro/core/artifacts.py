@@ -11,9 +11,9 @@ hyperparameters, the campaign configuration (seed, repetitions, noise
 and fault-plan fingerprints) and the fingerprints of the upstream
 artifacts it was computed from.  Two processes with the same
 configuration therefore share knowledge through a file instead of each
-re-running the campaign — the generalization of the profile cache of
-:class:`~repro.telemetry.campaign.ProfileCache` from per-(workload, VM)
-runs to whole pipeline stages.
+re-running the campaign: this store is the only on-disk cache of
+campaign output, while :class:`~repro.telemetry.campaign.ProfilingCampaign`
+memoizes (workload, VM) cells within one process.
 
 Arrays are serialized as an ``.npz`` blob (no pickling), so stores are
 safe to share across Python versions.  This store and ``.npz`` archives
@@ -21,9 +21,9 @@ are the only files knowledge is written to: a serving tier's worker
 processes get theirs through their pipes
 (:func:`~repro.core.persistence.knowledge_state`).
 
-Like the profile cache, a broken store must never break a fit: a
-corrupted file is moved aside and recreated, an unopenable path
-degrades to an in-memory store, and every read failure is a miss.
+A broken store must never break a fit: a corrupted file is moved aside
+and recreated, an unopenable path degrades to an in-memory store, and
+every read failure is a miss.
 """
 
 from __future__ import annotations

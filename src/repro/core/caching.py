@@ -1,16 +1,11 @@
 """Small thread-safe LRU cache with hit/miss/eviction counters.
 
-Shared by the serving fast path's two memo layers (see
-``docs/architecture.md``, "The serving fast path"): the mask-keyed
-fold-in operator cache on :class:`~repro.core.vesta.VestaSelector` and
-the recommendation memo cache in
-:class:`~repro.service.scheduler.MicroBatchScheduler`.  Both layers only
-ever store values derived deterministically from their key, so eviction
+Backs the serving fast path's recommendation memo (see
+``docs/architecture.md``, "The serving fast path") in
+:class:`~repro.service.scheduler.MicroBatchScheduler`.  The memo only
+ever stores values derived deterministically from their key, so eviction
 is purely a memory bound — never a correctness event — and the counters
 exist to make hit rates observable through ``/statsz`` and the benches.
-
-It lives in :mod:`repro.core` so both the core and the service layer can
-use it without the service package leaking downward.
 """
 
 from __future__ import annotations
@@ -29,8 +24,7 @@ class LRUCache:
     ``get``/``put`` are O(1) and safe to call from any number of
     threads; a successful ``get`` refreshes the entry's recency.  The
     cache never copies values — callers that share mutable values across
-    threads (the fold-in operator cache stores numpy arrays) should
-    freeze them before insertion.
+    threads should freeze them before insertion.
     """
 
     def __init__(self, maxsize: int) -> None:

@@ -295,8 +295,6 @@ class CMF:
         L: np.ndarray,
         ustar_rows: np.ndarray,
         mask: np.ndarray | None = None,
-        *,
-        operator_cache=None,
     ) -> np.ndarray:
         """Complete target rows against a fixed L: the online half.
 
@@ -316,14 +314,8 @@ class CMF:
         mask bit-pattern: each group builds its gram once and all its
         rows are solved in one stacked LAPACK call — byte-identical to
         the per-row loop because the gufunc solves each row as its own
-        1-D system.  ``operator_cache`` (an
-        :class:`~repro.core.caching.LRUCache`) persists grams across
-        calls keyed by mask bytes; callers must scope it to one
-        ``(L, hyperparameters)`` pair — :class:`VestaSelector` keys it
-        to the ``source_factors`` artifact, so a refit or hot-reload
-        starts from an empty cache by construction.  The per-row loop
-        (``_fold_in_row_loop``) is kept as the reference tests pin this
-        path against.
+        1-D system.  The per-row loop (``_fold_in_row_loop``) is kept as
+        the reference tests pin this path against.
 
         Returns the stacked ``A*`` with shape ``(n_rows, latent_dim)``.
         """
@@ -347,7 +339,7 @@ class CMF:
             raise ValidationError(
                 f"mask shape {mask.shape} != ustar_rows shape {ustar_rows.shape}"
             )
-        return self._fold_in_grouped(L, ustar_rows, mask, operator_cache)
+        return self._fold_in_grouped(L, ustar_rows, mask)
 
     def _fold_in_row_loop(
         self, L: np.ndarray, ustar_rows: np.ndarray, mask: np.ndarray
@@ -371,7 +363,6 @@ class CMF:
         L: np.ndarray,
         ustar_rows: np.ndarray,
         mask: np.ndarray,
-        operator_cache,
     ) -> np.ndarray:
         g = self.latent_dim
         eye = self.reg * np.eye(g)
@@ -379,16 +370,11 @@ class CMF:
         groups: dict[bytes, list[int]] = {}
         for i in range(ustar_rows.shape[0]):
             groups.setdefault(mask[i].tobytes(), []).append(i)
-        for key, indices in groups.items():
-            gram = None if operator_cache is None else operator_cache.get(key)
-            if gram is None:
-                # Same expression, same operand order as the row loop —
-                # "byte-identical" hinges on it.
-                weighted = L * mask[indices[0]][:, None]
-                gram = self.target_weight * (weighted.T @ L) + eye
-                if operator_cache is not None:
-                    gram.setflags(write=False)
-                    operator_cache.put(key, gram)
+        for indices in groups.values():
+            # Same expression, same operand order as the row loop —
+            # "byte-identical" hinges on it.
+            weighted = L * mask[indices[0]][:, None]
+            gram = self.target_weight * (weighted.T @ L) + eye
             rhs = np.empty((len(indices), g))
             for row, i in enumerate(indices):
                 rhs[row] = self.target_weight * (L.T @ (mask[i] * ustar_rows[i]))

@@ -62,7 +62,6 @@ from repro.core.artifacts import ArtifactStore, content_fingerprint
 from repro.core.pipeline import CACHED_STAGES, STAGES, PromotedSource
 from repro.core.vesta import VestaSelector
 from repro.errors import ValidationError
-from repro.telemetry.campaign import ProfileCache
 from repro.workloads.catalog import get_workload
 
 __all__ = [
@@ -70,6 +69,7 @@ __all__ = [
     "load_selector",
     "clone_knowledge",
     "knowledge_state",
+    "replica_fault_plan",
     "restore_knowledge",
     "archive_knowledge_fingerprint",
     "FORMAT_VERSION",
@@ -300,21 +300,19 @@ def _upgrade(
 def load_selector(
     path: str | Path,
     *,
-    cache: ProfileCache | str | None = None,
     faults: FaultPlan | None = None,
     store: ArtifactStore | str | None = None,
 ) -> VestaSelector:
     """Rebuild a fitted :class:`VestaSelector` from an ``.npz`` archive
     written by :func:`save_selector`.
 
-    ``cache``, ``faults`` and ``store`` configure the rebuilt selector's
-    profiling campaign and artifact store (the knowledge itself is
-    restored from the archive): a production deployment loads the fitted
-    knowledge once and serves online sessions under its own
-    cache/fault-plan settings.  Stages archived with a fingerprint are
-    adopted into the selector's pipeline (and ``store``, when given), so
-    a subsequent :meth:`~repro.core.vesta.VestaSelector.refit` reuses
-    them.
+    ``faults`` and ``store`` configure the rebuilt selector's profiling
+    campaign and artifact store (the knowledge itself is restored from
+    the archive): a production deployment loads the fitted knowledge
+    once and serves online sessions under its own fault plan.  Stages
+    archived with a fingerprint are adopted into the selector's pipeline
+    (and ``store``, when given), so a subsequent
+    :meth:`~repro.core.vesta.VestaSelector.refit` reuses them.
 
     Raises
     ------
@@ -330,21 +328,20 @@ def load_selector(
             arrays = {key: data[key] for key in data.files if key != "meta"}
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"cannot read archive {path}: {exc}") from exc
-    return restore_knowledge(meta, arrays, cache=cache, faults=faults, store=store)
+    return restore_knowledge(meta, arrays, faults=faults, store=store)
 
 
 def restore_knowledge(
     meta,
     arrays: dict[str, np.ndarray],
     *,
-    cache: ProfileCache | str | None = None,
     faults: FaultPlan | None = None,
     store: ArtifactStore | str | None = None,
 ) -> VestaSelector:
     """Rebuild a fitted selector from a :func:`knowledge_state` pair.
 
     The tail of every load path: upgrade the metadata, rebind names,
-    restore stages.  ``cache``, ``faults`` and ``store`` are as for
+    restore stages.  ``faults`` and ``store`` are as for
     :func:`load_selector`.
     """
     meta, arrays = _upgrade(meta, arrays)
@@ -378,7 +375,6 @@ def restore_knowledge(
         vms=vms,
         sources=sources,
         repetitions=meta["repetitions"],
-        cache=cache,
         faults=faults,
         store=store,
         catalog=catalog,
@@ -447,10 +443,20 @@ def restore_knowledge(
     return selector
 
 
+def replica_fault_plan(selector: VestaSelector) -> FaultPlan:
+    """The fault plan a replica must run to answer as ``selector`` does.
+
+    The selector's own plan, or an explicit :meth:`FaultPlan.none` when
+    it runs none: a restore given no plan would let a spot catalog
+    derive an interruption plan of its own.  In-memory clones and pool
+    workers' replicas both restore under it.
+    """
+    return selector.campaign.faults or FaultPlan.none()
+
+
 def clone_knowledge(
     selector: VestaSelector,
     *,
-    cache: ProfileCache | str | None = None,
     faults: FaultPlan | None = None,
     store: ArtifactStore | str | None = None,
 ) -> VestaSelector:
@@ -460,14 +466,16 @@ def clone_knowledge(
     without touching disk: the clone shares no mutable state with the
     original, so a background promoter can grow and refit the clone while
     the original keeps serving — ``deepcopy`` of a live served selector
-    would race with its online sessions.  Stage fingerprints (and thus the
-    knowledge fingerprint) match the original's exactly.
+    would race with its online sessions.  The clone runs ``faults`` when
+    given, else the selector's own plan (:func:`replica_fault_plan`), so
+    by default its stage fingerprints (and thus the knowledge
+    fingerprint) and its answers, fault events included, match the
+    original's exactly.
     """
     meta, arrays = knowledge_state(selector)
     return restore_knowledge(
         json.loads(json.dumps(meta)),
         {name: np.array(array, copy=True) for name, array in arrays.items()},
-        cache=cache,
-        faults=faults,
+        faults=replica_fault_plan(selector) if faults is None else faults,
         store=store,
     )

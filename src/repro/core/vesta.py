@@ -47,12 +47,11 @@ from repro.cloud.catalog import ProviderCatalog, resolve_catalog
 from repro.cloud.faults import FaultEvent, FaultPlan
 from repro.cloud.vmtypes import SIZE_LADDER, VMType
 from repro.core.artifacts import ArtifactStore, content_fingerprint
-from repro.core.caching import LRUCache
 from repro.core.cmf import CMF, CMFResult
 from repro.core.pipeline import NEAR_BEST_TAU, KnowledgePipeline
 from repro.core.sandbox import choose_probe_vms, choose_sandbox_vm
 from repro.errors import ProbeFailedError, ValidationError
-from repro.telemetry.campaign import ProfileCache, ProfilingCampaign, outcome_value
+from repro.telemetry.campaign import ProfilingCampaign, outcome_value
 from repro.workloads.catalog import training_set
 from repro.workloads.spec import WorkloadSpec
 
@@ -171,9 +170,7 @@ class Recommendation:
     fault events of the runs the session observed — sandbox, probes,
     then each :meth:`~OnlineSession.observe`/:meth:`~OnlineSession.step`
     read, in that order — whichever wave ran them, so a served answer
-    equals a fresh :meth:`VestaSelector.select`.  A cell served from the
-    persistent profile cache contributes none: the cache stores values
-    only.
+    equals a fresh :meth:`VestaSelector.select`.
     """
 
     workload: str
@@ -315,8 +312,8 @@ class OnlineSession:
     def fault_events(self) -> tuple[FaultEvent, ...]:
         """Fault events of the runs this session observed, in read order.
 
-        Sandbox, probes, then each :meth:`observe` read; a cell the
-        persistent profile cache served carries none.
+        Sandbox, probes, then each :meth:`observe` read, whichever wave
+        ran them.
         """
         return tuple(self._events)
 
@@ -501,10 +498,6 @@ class VestaSelector:
         serving path.
     seed:
         Master seed for every stochastic component.
-    cache:
-        Persistent profile cache — a sqlite path or a ready
-        :class:`~repro.telemetry.campaign.ProfileCache`; ``None`` keeps
-        memoization in-process only.
     faults:
         Optional :class:`~repro.cloud.faults.FaultPlan` injected into the
         profiling campaign.  The default fault-free plan leaves every
@@ -546,7 +539,6 @@ class VestaSelector:
         label_softness: int = 2,
         cmf_mode: str = "full",
         seed: int = 0,
-        cache: ProfileCache | str | None = None,
         faults: FaultPlan | None = None,
         store: ArtifactStore | str | None = None,
         catalog: ProviderCatalog | str | None = None,
@@ -583,7 +575,6 @@ class VestaSelector:
         self.campaign = ProfilingCampaign(
             repetitions=repetitions,
             seed=seed,
-            cache=cache,
             faults=faults,
             catalog=self.catalog,
         )
@@ -638,27 +629,13 @@ class VestaSelector:
         hyperparameter."""
         return CMF(latent_dim=self.latent_dim, lam=self.lam, seed=self.seed)
 
-    def _foldin_operator_cache(self, factors) -> LRUCache:
-        """Mask-keyed gram-matrix cache scoped to one ``source_factors``.
+    def foldin_cache_stats(self) -> None:
+        """Always ``None``: fold-in keeps no operator cache.
 
-        The gram ``(μ LᵀdiagₘL + reg·I)`` depends only on the probe mask
-        once L and the hyperparameters are fixed, and both are frozen
-        inside the ``source_factors`` artifact's lifetime — so the cache
-        is held next to (and invalidated with) that artifact: a refit or
-        hot-reload produces a new factors object and thereby an empty
-        cache, by construction.  Steady-state serving sees a handful of
-        distinct masks (one per probe plan), so 256 entries is generous.
+        The benchmark's traced runs (``perfbench/workloads.py``) still
+        read it, as zero lookups.
         """
-        held = getattr(self, "_foldin_ops", None)
-        if held is None or held[0] is not factors:
-            held = (factors, LRUCache(maxsize=256))
-            self._foldin_ops = held
-        return held[1]
-
-    def foldin_cache_stats(self) -> dict | None:
-        """Counters of the fold-in operator cache; ``None`` before first use."""
-        held = getattr(self, "_foldin_ops", None)
-        return None if held is None else held[1].stats()
+        return None
 
     def complete_rows(
         self, rows: np.ndarray, masks: np.ndarray
@@ -686,12 +663,7 @@ class VestaSelector:
                     "cmf_mode='foldin' needs the offline source_factors "
                     "stage; call fit() first"
                 )
-            astar = self._cmf().fold_in(
-                factors.L,
-                rows,
-                masks,
-                operator_cache=self._foldin_operator_cache(factors),
-            )
+            astar = self._cmf().fold_in(factors.L, rows, masks)
             return tuple(
                 CMFResult(
                     A=factors.A,

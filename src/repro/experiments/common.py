@@ -54,10 +54,8 @@ def campaign_options() -> dict:
     """Profiling-campaign options shared by every experiment fixture.
 
     Read from the environment so figure runners and the test suite can
-    opt into persistence without touching call sites:
+    opt into faults and persistence without touching call sites:
 
-    - ``REPRO_PROFILE_CACHE`` — persistent profile-cache sqlite path
-      (default: in-process memoization only);
     - ``REPRO_FAULT_*`` — fault-injection plan (see
       :meth:`repro.cloud.faults.FaultPlan.from_env`; default: none);
     - ``REPRO_ARTIFACT_STORE`` — stage-artifact store sqlite path for
@@ -67,10 +65,7 @@ def campaign_options() -> dict:
     the environment mid-process builds fresh fixtures under the new
     options instead of silently serving ones fitted under the old.
     """
-    return {
-        "cache": os.environ.get("REPRO_PROFILE_CACHE") or None,
-        "faults": FaultPlan.from_env(),
-    }
+    return {"faults": FaultPlan.from_env()}
 
 
 def _options_key() -> tuple:
@@ -80,10 +75,8 @@ def _options_key() -> tuple:
     the campaign options (and artifact-store path) that built it are
     still in force.
     """
-    opts = campaign_options()
     return (
-        opts["cache"],
-        opts["faults"],
+        campaign_options()["faults"],
         os.environ.get("REPRO_ARTIFACT_STORE") or None,
         # Fixtures resolve the session-default provider catalog at build
         # time (REPRO_CATALOG); key on it so switching catalogs builds
@@ -93,12 +86,12 @@ def _options_key() -> tuple:
 
 
 def _options_from_key(key: tuple) -> dict:
-    return {"cache": key[0], "faults": key[1]}
+    return {"faults": key[0]}
 
 
 @lru_cache(maxsize=4)
 def _store_for(key: tuple) -> ArtifactStore:
-    return ArtifactStore(key[2] or ":memory:")
+    return ArtifactStore(key[1] or ":memory:")
 
 
 def shared_store() -> ArtifactStore:

@@ -49,7 +49,6 @@ from repro.core.persistence import clone_knowledge
 from repro.core.vesta import VestaSelector
 from repro.experiments.common import (
     DEFAULT_SEED,
-    campaign_options,
     fitted_vesta,
     mape_vs_best,
     selection_regret,
@@ -105,8 +104,11 @@ class LifecycleResult:
 
 
 def _fresh_clone(seed: int):
-    """Private mutable copy of the shared fitted fixture (policies grow it)."""
-    return clone_knowledge(fitted_vesta(seed), **campaign_options())
+    """Private mutable copy of the shared fitted fixture (policies grow it).
+
+    The clone runs the fixture's own fault plan.
+    """
+    return clone_knowledge(fitted_vesta(seed))
 
 
 def absorb_naive(selector: VestaSelector, record: SessionRecord) -> bool:

@@ -32,8 +32,7 @@ import traceback
 from multiprocessing import parent_process
 from typing import TYPE_CHECKING
 
-from repro.cloud.faults import FaultPlan
-from repro.core.persistence import knowledge_state, restore_knowledge
+from repro.core.persistence import knowledge_state, replica_fault_plan, restore_knowledge
 from repro.errors import FaultInjectionError, ReproError, ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -173,8 +172,8 @@ class ProcessPoolBackend:
     knowledge state whenever the worker does not hold that fingerprint:
     on the first wave, after a reload, after a restart and after a
     failed restore.  The state carries the selector's fault plan
-    (:meth:`FaultPlan.none` when it runs none), so the replica answers
-    as the parent's own sessions would.  The (fingerprint, state) pair is
+    (:func:`~repro.core.persistence.replica_fault_plan`), so the replica
+    answers as the parent's own sessions would.  The (fingerprint, state) pair is
     fixed before the wave ships, so no wave ever mixes knowledge
     versions.
 
@@ -218,10 +217,7 @@ class ProcessPoolBackend:
         state = None
         if self._held != fingerprint:
             selector = handle.selector
-            # The replica must run the parent's plan: no plan becomes an
-            # explicit none(), or a spot catalog would derive its own.
-            faults = selector.campaign.faults or FaultPlan.none()
-            state = (*knowledge_state(selector), faults)
+            state = (*knowledge_state(selector), replica_fault_plan(selector))
         try:
             self._conn.send((fingerprint, state, list(requests)))
             if not self._conn.poll(self._timeout_s):

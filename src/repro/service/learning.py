@@ -15,12 +15,12 @@ The serving half of the knowledge lifecycle
 
 - :class:`LearningLoop` — the background promoter.  Periodically clones
   the served knowledge (:func:`~repro.core.persistence.clone_knowledge`,
-  race-free against live sessions), runs a
+  race-free against live sessions, under the served fault plan), runs a
   :class:`~repro.core.lifecycle.KnowledgeLifecycle` cycle over the
   journal, and — only when something was actually promoted — registers
   the grown clone, which atomically bumps the registry generation.
-  The scheduler serves the new handle from its next wave on, and both
-  serving caches key on the knowledge fingerprint, so the reload lands
+  The scheduler serves the new handle from its next wave on, and the
+  recommendation memo keys on the knowledge fingerprint, so the reload lands
   without pausing serving and without ever mixing knowledge versions
   within a response.  Learning needs the sessions in this process, so
   it runs only on an unsharded scheduler.
@@ -196,8 +196,8 @@ class LearningLoop:
         report = lifecycle.advance(records)
         if report.promoted:
             # Atomic swap: the registry bumps the generation, the next
-            # wave serves the new handle, and both serving caches miss
-            # by fingerprint construction.
+            # wave serves the new handle, and the recommendation memo
+            # misses by fingerprint construction.
             self.registry.register(self.selector_name, clone)
         with self._lock:
             self._cycles += 1

@@ -67,9 +67,6 @@ class SelectorHandle:
             "seed": sel.seed,
             "catalog": sel.catalog.name,
             "catalog_fingerprint": sel.catalog.fingerprint(),
-            # Mask-keyed fold-in operator cache (None until the selector
-            # serves its first fold-in wave, or under cmf_mode="full").
-            "foldin_cache": sel.foldin_cache_stats(),
         }
 
 
@@ -117,8 +114,8 @@ class SelectorRegistry:
         """Load a persistence archive and register it under ``name``.
 
         ``load_kwargs`` are forwarded to
-        :func:`~repro.core.persistence.load_selector` (``cache``,
-        ``faults``, ``store``).
+        :func:`~repro.core.persistence.load_selector` (``faults``,
+        ``store``).
         """
         # Peek before restoring: an archive replaced in between then
         # reads as changed on the next reload, never as unchanged.

@@ -4,19 +4,14 @@
 - :mod:`repro.telemetry.collector` — repeated-run profiling with 5-second
   sampling and conservative P90 aggregation (Section 4.1);
 - :mod:`repro.telemetry.store` — a sqlite-backed run archive standing in
-  for the paper's MySQL database;
+  for the paper's MySQL database, plus the serving tier's session journal;
 - :mod:`repro.telemetry.campaign` — the parallel profiling campaign
-  engine and its content-addressed profile cache;
+  engine and its in-process cell memo;
 - :mod:`repro.telemetry.latency` — latency/throughput metrics for
   latency-sensitive workloads (the Section 7 extension).
 """
 
-from repro.telemetry.campaign import (
-    ProfileCache,
-    ProfilingCampaign,
-    noise_fingerprint,
-    profile_cache_key,
-)
+from repro.telemetry.campaign import ProfilingCampaign, noise_fingerprint
 from repro.telemetry.collector import DataCollector, WorkloadProfile
 from repro.telemetry.latency import DurationSummary, LatencyReport, latency_report
 from repro.telemetry.metrics import (
@@ -40,10 +35,8 @@ __all__ = [
     "METRIC_NAMES",
     "MetricsStore",
     "NUM_METRICS",
-    "ProfileCache",
     "ProfilingCampaign",
     "RESOURCE_METRICS",
     "WorkloadProfile",
     "noise_fingerprint",
-    "profile_cache_key",
 ]

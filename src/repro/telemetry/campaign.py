@@ -1,4 +1,4 @@
-"""Parallel profiling campaign engine with a content-addressed cache.
+"""Parallel profiling campaign engine with an in-process cell memo.
 
 The paper's offline phase profiles every source workload on every VM type
 with 10 repetitions each (Section 4.1) — the dominant wall-clock cost of
@@ -15,18 +15,18 @@ performance matrix.  :class:`ProfilingCampaign` makes that sweep
   reassembled by index;
 - **memoized**: every read — a single cell, a grid, or a serving wave's
   heterogeneous cells — goes through one wave: look each cell up in the
-  in-process memo, then in a content-addressed :class:`ProfileCache`
-  layered on :class:`~repro.telemetry.store.MetricsStore` (sqlite, WAL
-  mode when file-backed), and run the misses through one batch.  The
-  memo holds each cell's *outcome* — its value, or the
+  in-process memo and run the misses through one batch.  The memo is
+  keyed by the cell itself, ``(runtime_only, spec, vm, nodes)``, and
+  holds each cell's *outcome* — its value, or the
   :class:`~repro.errors.ProbeFailedError` /
   :class:`~repro.errors.OutOfMemoryError` its run ended in — with the
   fault events of that run, so a reader sees the same outcome and events
-  however often and in whichever wave it asks.  Cache keys are digests
-  over (workload spec, VM, nodes, seed, repetitions, sample period,
-  noise-model fingerprint); a hit skips simulation entirely.  Entries
-  carry their fingerprint, so a changed noise model invalidates the
-  previous generation (pruned at open).
+  however often and in whichever wave it asks.
+
+Campaign output persists one level up: the knowledge pipeline files
+whole stages in a :class:`~repro.core.artifacts.ArtifactStore` under
+addresses that fold in :meth:`ProfilingCampaign.config_fingerprint`, so
+a warm fit runs no campaign cell at all.
 
 Campaign progress and hit-rate counters are surfaced through
 :class:`repro.telemetry.metrics.CampaignCounters`.
@@ -38,7 +38,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import sqlite3
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
@@ -63,23 +62,27 @@ from repro.telemetry.collector import (
     _stream_seed,
 )
 from repro.telemetry.metrics import CampaignCounters
-from repro.telemetry.store import MetricsStore
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = [
     "ProfilingCampaign",
-    "ProfileCache",
     "noise_fingerprint",
     "outcome_value",
-    "profile_cache_key",
 ]
 
 #: One read cell: its outcome — the value, or the error its run ended
 #: in — and the fault events of that run.
 Outcome = tuple[WorkloadProfile | float | ReproError, tuple[FaultEvent, ...]]
 
-#: Bump to invalidate every existing cache when the simulator's observable
-#: behaviour changes in ways the fingerprint inputs don't capture.
+#: One memo key: ``(runtime_only, spec, vm, nodes)`` with ``nodes``
+#: resolved, so ``nodes=None`` and ``nodes=spec.nodes`` are one cell.
+#: The frozen spec and VM compare by content: a VM read by name and as a
+#: :class:`VMType` share a cell, a same-named VM of other content does not.
+Cell = tuple[bool, WorkloadSpec, VMType, int]
+
+#: Bump to invalidate every stored stage artifact when the simulator's
+#: observable behaviour changes in ways the fingerprint inputs don't
+#: capture.
 CACHE_VERSION = 1
 
 #: Missed cells each pool worker must have before a wave fans out.  On a
@@ -95,9 +98,10 @@ _CELLS_PER_WORKER = 96
 def noise_fingerprint(model: CloudNoiseModel | None = None) -> str:
     """Digest of the noise-model configuration a profile was computed under.
 
-    Covers the log-normal sigma, straggler probability/scale and the cache
-    format version; profiles cached under a different fingerprint are
-    stale and must be recomputed.
+    Covers the log-normal sigma, straggler probability/scale and
+    :data:`CACHE_VERSION`; it heads every
+    :meth:`ProfilingCampaign.config_fingerprint`, so stage artifacts
+    computed under another noise model are never served.
     """
     m = model if model is not None else CloudNoiseModel()
     payload = (
@@ -111,8 +115,8 @@ def noise_fingerprint(model: CloudNoiseModel | None = None) -> str:
 def _spec_token(spec: WorkloadSpec) -> str:
     """Canonical serialization of a workload spec (content, not identity).
 
-    Specs are frozen (hashable by content), so memoizing is safe and
-    keeps key derivation off the batched campaign's critical path.
+    Specs are frozen (hashable by content), so memoizing is safe; the
+    knowledge pipeline digests these into its source-set token.
     """
     desc = asdict(spec)
     desc["use_case"] = spec.use_case.value
@@ -123,47 +127,10 @@ def _spec_token(spec: WorkloadSpec) -> str:
 @lru_cache(maxsize=1024)
 def _vm_token(vm: VMType) -> str:
     """Canonical serialization of a VM type — two catalogs reusing a name
-    (e.g. a multi-cloud extension) must not collide in the cache."""
+    (e.g. a multi-cloud extension) must not collide in a stage address."""
     desc = asdict(vm)
     desc["category"] = vm.category.value
     return json.dumps(desc, sort_keys=True, default=str)
-
-
-def profile_cache_key(
-    spec: WorkloadSpec,
-    vm: VMType | str,
-    nodes: int,
-    seed: int,
-    repetitions: int,
-    sample_period_s: float,
-    fingerprint: str,
-    kind: str = "profile",
-    catalog: ProviderCatalog | None = None,
-) -> str:
-    """Content address of one profiling result.
-
-    ``kind`` separates full profiles (``"profile"``) from runtime-only P90
-    scalars (``"p90"``), which carry different payloads.  A VM given by
-    name resolves through ``catalog`` (default: the Table-4 catalog), so
-    string and :class:`VMType` spellings of the same VM share one
-    address.  The key hashes the VM's full content, so same-named types
-    from different catalogs never collide.
-    """
-    if isinstance(vm, str):
-        vm = catalog.get(vm) if catalog is not None else get_vm_type(vm)
-    payload = "|".join(
-        (
-            kind,
-            fingerprint,
-            _spec_token(spec),
-            _vm_token(vm),
-            str(int(nodes)),
-            str(int(seed)),
-            str(int(repetitions)),
-            repr(float(sample_period_s)),
-        )
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def outcome_value(outcome: WorkloadProfile | float | ReproError) -> WorkloadProfile | float:
@@ -186,111 +153,6 @@ def _stream_seed_batch(triples: list[tuple[str, str, int]]) -> list[int]:
     interpreters.
     """
     return [_stream_seed(w, v, s) for (w, v, s) in triples]
-
-
-class ProfileCache:
-    """Content-addressed, persistent profile cache with corruption fallback.
-
-    Parameters
-    ----------
-    path:
-        sqlite path (``":memory:"`` for a process-local cache).  A
-        corrupted file is moved aside to ``<path>.corrupt`` and recreated;
-        an unopenable path degrades to an in-memory store — either way the
-        campaign falls back to recomputation rather than failing.
-    fingerprint:
-        Noise-model fingerprint of the current generation (default: the
-        fingerprint of the default :class:`CloudNoiseModel`).  Entries
-        from other generations are pruned at open and never returned.
-    """
-
-    def __init__(self, path: str = ":memory:", *, fingerprint: str | None = None) -> None:
-        self.path = path
-        self.fingerprint = fingerprint if fingerprint is not None else noise_fingerprint()
-        self.hits = 0
-        self.misses = 0
-        self.recovered = False
-        self._store = self._open()
-        self.pruned = self._safe_prune()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def _open(self) -> MetricsStore:
-        try:
-            return MetricsStore(self.path, wal=self.path != ":memory:")
-        except sqlite3.DatabaseError:
-            self.recovered = True
-            if os.path.isfile(self.path):
-                try:
-                    os.replace(self.path, self.path + ".corrupt")
-                    return MetricsStore(self.path, wal=True)
-                except (OSError, sqlite3.Error):
-                    pass
-            return MetricsStore(":memory:")
-
-    def _safe_prune(self) -> int:
-        try:
-            return self._store.prune_cache(self.fingerprint)
-        except sqlite3.Error:
-            return 0
-
-    def close(self) -> None:
-        self._store.close()
-
-    def __enter__(self) -> "ProfileCache":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __len__(self) -> int:
-        try:
-            return sum(self._store.cache_counts())
-        except sqlite3.Error:
-            return 0
-
-    # -- lookups ----------------------------------------------------------------
-    #
-    # Every read failure is a miss and every write failure is silent: a
-    # broken cache must never break the campaign, only slow it down.
-
-    def get_profile(self, key: str) -> WorkloadProfile | None:
-        try:
-            hit = self._store.get_cached(key)
-        except (sqlite3.Error, ValueError):
-            hit = None
-        self._count(hit is not None)
-        return hit
-
-    def put_profile(self, key: str, profile: WorkloadProfile) -> None:
-        try:
-            self._store.put_cached(key, self.fingerprint, profile)
-        except sqlite3.Error:
-            pass
-
-    def get_runtime(self, key: str) -> float | None:
-        try:
-            hit = self._store.get_cached_scalar(key)
-        except sqlite3.Error:
-            hit = None
-        self._count(hit is not None)
-        return hit
-
-    def put_runtime(self, key: str, value: float) -> None:
-        try:
-            self._store.put_cached_scalar(key, self.fingerprint, value)
-        except sqlite3.Error:
-            pass
-
-    def prune(self) -> int:
-        """Drop entries from other fingerprint generations; returns count."""
-        return self._safe_prune()
-
-    def _count(self, hit: bool) -> None:
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
 
 
 @dataclass(frozen=True)
@@ -360,24 +222,21 @@ class ProfilingCampaign:
     a (workload × VM type) grid: results are bit-identical to the serial
     path for any grid iteration order.  Every read goes through one wave
     (:meth:`_wave`), and each wave of missed cells sizes its own worker
-    count (see :meth:`_execute`), so there is nothing to tune.
+    count (see :meth:`_execute`), so there is nothing to tune.  Each
+    cell's outcome is memoized in-process with the fault events of its
+    run (see :data:`Cell`), so repeated reads never recompute.
 
     Parameters
     ----------
     repetitions, seed, sample_period_s:
         Forwarded to the underlying :class:`DataCollector` protocol.
-    cache:
-        ``None`` (no persistence), a sqlite path, or a ready
-        :class:`ProfileCache`.  Independent of the persistent layer, the
-        campaign memoizes each cell's outcome in-process, with the fault
-        events of its run, so repeated reads within one run never
-        recompute.
     faults:
         Optional :class:`~repro.cloud.faults.FaultPlan`.  The default
-        (``None`` / a disabled plan) leaves every result — and every
-        cache key — bit-identical to a fault-free build.  An enabled plan
-        folds its fingerprint into the cache address (fault-injected
-        results never collide with clean ones), its transient failures
+        (``None`` / a disabled plan) leaves every result — and the
+        :meth:`config_fingerprint` — bit-identical to a fault-free build.
+        An enabled plan folds its fingerprint into the config fingerprint
+        (stage artifacts fitted under faults never collide with clean
+        ones), its transient failures
         are retried inside the collectors, and every observed fault is
         merged into :attr:`counters` and :attr:`fault_log` once, when its
         run is memoized, regardless of which worker process saw it.  A
@@ -391,8 +250,8 @@ class ProfilingCampaign:
         interruption risk — derives a deterministic interruption
         :class:`FaultPlan` when no explicit ``faults`` plan is given.
         ``None`` (and the default ``ec2`` catalog's pricing) leaves all
-        results and cache addresses bit-identical to the pre-catalog
-        code.
+        results and the config fingerprint bit-identical to the
+        pre-catalog code.
     """
 
     def __init__(
@@ -400,7 +259,6 @@ class ProfilingCampaign:
         repetitions: int = DEFAULT_REPETITIONS,
         seed: int = 0,
         *,
-        cache: ProfileCache | str | None = None,
         sample_period_s: float = 5.0,
         faults: FaultPlan | None = None,
         catalog: ProviderCatalog | str | None = None,
@@ -410,10 +268,6 @@ class ProfilingCampaign:
         self.repetitions = repetitions
         self.seed = seed
         self.sample_period_s = sample_period_s
-        if cache is None or isinstance(cache, ProfileCache):
-            self.cache = cache
-        else:
-            self.cache = ProfileCache(str(cache))
         self.catalog = None if catalog is None else resolve_catalog(catalog)
         self.pricing = pricing_override(self.catalog)
         if faults is None and self.catalog is not None:
@@ -421,7 +275,7 @@ class ProfilingCampaign:
         self.faults = faults if faults is not None and faults.enabled else None
         self.counters = CampaignCounters()
         self.fault_log: list[FaultEvent] = []
-        self._memo: dict[str, Outcome] = {}
+        self._memo: dict[Cell, Outcome] = {}
 
     # -- single-pair API ---------------------------------------------------------
 
@@ -475,9 +329,7 @@ class ProfilingCampaign:
         each cell's ``(outcome, fault_events)``: the outcome is the value,
         or the :class:`~repro.errors.ProbeFailedError` /
         :class:`~repro.errors.OutOfMemoryError` its run ended in, and the
-        events are those of that run, whichever wave ran it.  A cell
-        served from the persistent :class:`ProfileCache` carries no
-        events: the cache stores values only.
+        events are those of that run, whichever wave ran it.
         """
         return self._wave(cells, nodes)
 
@@ -494,61 +346,28 @@ class ProfilingCampaign:
             self.counters.record_fault(event.kind, event.detail)
         self.fault_log.extend(events)
 
-    def _generation_fingerprint(self) -> str:
-        # Constant per campaign instance (cache, faults and the default
-        # noise model never change after __init__), so compute it once —
-        # key derivation sits on the batched sweep's critical path.
-        cached = getattr(self, "_generation_fp", None)
-        if cached is not None:
-            return cached
-        fingerprint = self.cache.fingerprint if self.cache else noise_fingerprint()
-        if self.faults is not None:
-            # Fault-injected results are a different generation: address
-            # them apart so a clean cache never serves faulted values.
-            fingerprint = f"{fingerprint}+faults:{self.faults.fingerprint()}"
-        if self.pricing is not None:
-            # Non-default billing changes budgets: a separate generation,
-            # while the default EC2 rule contributes nothing (pre-catalog
-            # cache entries stay addressable).
-            fingerprint = f"{fingerprint}+pricing:{self.pricing.fingerprint()}"
-        self._generation_fp = fingerprint
-        return fingerprint
-
     def config_fingerprint(self) -> str:
         """Digest of everything that determines this campaign's outputs.
 
         Two campaigns with equal config fingerprints produce bit-identical
-        results for the same (workload, VM) grid, whatever their wave sizes
-        or cache settings; the knowledge pipeline folds this into every
-        stage artifact address.
+        results for the same (workload, VM) grid, whatever their wave
+        sizes; the knowledge pipeline folds this into every stage
+        artifact address.
         """
+        fingerprint = noise_fingerprint()
+        if self.faults is not None:
+            # Fault-injected results are a different generation: address
+            # them apart so a clean store never serves faulted stages.
+            fingerprint = f"{fingerprint}+faults:{self.faults.fingerprint()}"
+        if self.pricing is not None:
+            # Non-default billing changes budgets: a separate generation,
+            # while the default EC2 rule contributes nothing (pre-catalog
+            # stage addresses stay valid).
+            fingerprint = f"{fingerprint}+pricing:{self.pricing.fingerprint()}"
         return (
-            f"{self._generation_fingerprint()}|seed={int(self.seed)}"
+            f"{fingerprint}|seed={int(self.seed)}"
             f"|reps={int(self.repetitions)}|period={float(self.sample_period_s)!r}"
         )
-
-    def _key(self, spec: WorkloadSpec, vm: VMType, nodes: int | None, kind: str) -> str:
-        fingerprint = self._generation_fingerprint()
-        return profile_cache_key(
-            spec,
-            vm,
-            nodes if nodes is not None else spec.nodes,
-            self.seed,
-            self.repetitions,
-            self.sample_period_s,
-            fingerprint,
-            kind=kind,
-        )
-
-    def _lookup(self, key: str, runtime_only: bool) -> Outcome | None:
-        hit = self._memo.get(key)
-        if hit is not None or self.cache is None:
-            return hit
-        value = self.cache.get_runtime(key) if runtime_only else self.cache.get_profile(key)
-        if value is None:
-            return None
-        hit = self._memo[key] = (value, ())
-        return hit
 
     def _values(self, cells, nodes: int | None) -> list:
         """Read cells like a serial loop: values, or the first failure raised."""
@@ -557,10 +376,10 @@ class ProfilingCampaign:
     def _wave(self, cells, nodes: int | None, *, serial: bool = False) -> list[Outcome]:
         """The one read path: ``(outcome, fault_events)`` per cell.
 
-        Each distinct cell is looked up in the memo, then the persistent
-        cache; the misses run through one :meth:`_execute`, and each of
-        their outcomes is memoized with its run's fault events, which
-        reach :attr:`fault_log` and :attr:`counters` in cell order.
+        Each distinct cell is looked up in the memo; the misses run
+        through one :meth:`_execute`, and each of their outcomes is
+        memoized with its run's fault events, which reach
+        :attr:`fault_log` and :attr:`counters` in cell order.
 
         ``serial`` keeps a serial loop's books for a reader that raises
         the first failure in cell order: planning stops at a memoized
@@ -569,17 +388,17 @@ class ProfilingCampaign:
         memoized and logged.
         """
         start = time.perf_counter()
-        keys: list[str] = []
-        outcomes: dict[str, Outcome | None] = {}
-        pending: list[tuple[_Task, str]] = []
+        keys: list[Cell] = []
+        outcomes: dict[Cell, Outcome | None] = {}
+        pending: list[tuple[_Task, Cell]] = []
         for spec, vm, runtime_only in cells:
             vm = self._resolve_vm(vm)
-            key = self._key(spec, vm, nodes, "p90" if runtime_only else "profile")
+            key = (runtime_only, spec, vm, spec.nodes if nodes is None else nodes)
             keys.append(key)
             if key in outcomes:
                 continue
             self.counters.scheduled += 1
-            hit = outcomes[key] = self._lookup(key, runtime_only)
+            hit = outcomes[key] = self._memo.get(key)
             if hit is None:
                 self.counters.cache_misses += 1
                 task = _Task(
@@ -603,21 +422,15 @@ class ProfilingCampaign:
         # reads in cell order whatever the workers' completion order.
         ran = sorted(self._execute([task for task, _ in pending]), key=lambda r: r[0])
         keep = True
-        for (task, key), (_, outcome) in zip(pending, ran):
+        for (_, key), (_, outcome) in zip(pending, ran):
             outcomes[key] = outcome
             if not keep:
                 continue
             self._memo[key] = outcome
             value, events = outcome
-            failed = isinstance(value, ReproError)
-            if self.cache is not None and not failed:
-                if task.runtime_only:
-                    self.cache.put_runtime(key, value)
-                else:
-                    self.cache.put_profile(key, value)
             self._absorb_events(events)
             self.counters.computed += 1
-            keep = not (serial and failed)
+            keep = not (serial and isinstance(value, ReproError))
         self.counters.elapsed_s += time.perf_counter() - start
         return [outcomes[key] for key in keys]
 

@@ -81,10 +81,9 @@ class CampaignCounters:
     scheduled:
         (workload, VM) pair-tasks requested so far.
     computed:
-        Tasks actually simulated (cache misses that ran).
+        Tasks actually simulated (memo misses that ran).
     cache_hits, cache_misses:
-        Content-addressed cache lookup outcomes (in-process memo and the
-        persistent store both count).
+        Outcomes of the campaign's in-process memo lookups.
     elapsed_s:
         Wall-clock seconds spent inside campaign calls.
     retries:

@@ -6,13 +6,11 @@ not a server, so :class:`MetricsStore` wraps :mod:`sqlite3` (in-memory by
 default, file-backed on request).  Time series are persisted as raw
 ``float64`` blobs with their shape, avoiding any serialization dependency.
 
-Beyond the plain ``profiles`` archive the store also hosts the campaign
-engine's **content-addressed profile cache** (see
-:mod:`repro.telemetry.campaign`): two extra tables keyed by opaque digest
-strings, each row tagged with the noise-model fingerprint it was computed
-under so stale generations can be pruned wholesale.  File-backed stores
-can opt into WAL journalling, which lets concurrent campaign workers
-write without corrupting each other.
+Beside the ``profiles`` archive the store keeps the serving tier's
+``session_log``, the journal the knowledge lifecycle replays.
+File-backed stores open in WAL mode with a busy timeout, as
+:class:`~repro.core.artifacts.ArtifactStore` does, so a journalling
+server and a reader (``repro learn``) can share one file.
 """
 
 from __future__ import annotations
@@ -72,26 +70,6 @@ CREATE TABLE IF NOT EXISTS profiles (
 );
 CREATE INDEX IF NOT EXISTS idx_profiles_workload ON profiles (workload);
 CREATE INDEX IF NOT EXISTS idx_profiles_vm ON profiles (vm_name);
-CREATE TABLE IF NOT EXISTS profile_cache (
-    key         TEXT PRIMARY KEY,
-    fingerprint TEXT NOT NULL,
-    workload    TEXT NOT NULL,
-    framework   TEXT NOT NULL,
-    vm_name     TEXT NOT NULL,
-    nodes       INTEGER NOT NULL,
-    spilled     INTEGER NOT NULL,
-    runtimes    BLOB NOT NULL,
-    budgets     BLOB NOT NULL,
-    samples     INTEGER NOT NULL,
-    series      BLOB NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_profile_cache_fp ON profile_cache (fingerprint);
-CREATE TABLE IF NOT EXISTS scalar_cache (
-    key         TEXT PRIMARY KEY,
-    fingerprint TEXT NOT NULL,
-    value       REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_scalar_cache_fp ON scalar_cache (fingerprint);
 CREATE TABLE IF NOT EXISTS session_log (
     seq             INTEGER PRIMARY KEY AUTOINCREMENT,
     workload        TEXT NOT NULL,
@@ -117,25 +95,24 @@ class MetricsStore:
     Parameters
     ----------
     path:
-        sqlite database path, ``":memory:"`` for an ephemeral store.
-    wal:
-        Enable write-ahead-log journalling (file-backed stores only).
-        WAL plus a generous busy timeout is what makes concurrent
-        campaign workers safe against each other.
+        sqlite database path, ``":memory:"`` for an ephemeral store.  A
+        file-backed store runs in write-ahead-log mode with a generous
+        busy timeout, which keeps writers in other processes from
+        failing on a locked file.
 
     A store instance is also safe to share across *threads* of one
-    process: the serving registry and HTTP frontend read profiles and
-    cached entries from server threads while the scheduler worker
+    process: the serving tier's learning loop and ``/statsz`` read the
+    session journal from server threads while the scheduler worker
     writes, so every statement runs under one reentrant lock on a
     connection opened with ``check_same_thread=False`` (sqlite
     serializes at the statement level; the lock serializes multi-step
     read-modify-write sequences such as :meth:`bulk`).
     """
 
-    def __init__(self, path: str = ":memory:", *, wal: bool = False) -> None:
+    def __init__(self, path: str = ":memory:") -> None:
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(path, check_same_thread=False)
-        if wal:
+        if path != ":memory:":
             self._conn.execute("PRAGMA busy_timeout=30000")
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
@@ -226,77 +203,6 @@ class MetricsStore:
                 yield self
             finally:
                 self._conn.commit()
-
-    # -- content-addressed cache --------------------------------------------------
-    #
-    # The campaign engine addresses entries by an opaque digest covering
-    # (workload spec, vm, nodes, seed, repetitions, noise fingerprint); the
-    # fingerprint is stored alongside so whole stale generations can be
-    # pruned when the noise model changes.
-
-    def put_cached(self, key: str, fingerprint: str, profile: WorkloadProfile) -> None:
-        """Insert or replace a cached profile under ``key``."""
-        series = self._validated_series(profile)
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO profile_cache VALUES (?,?,?,?,?,?,?,?,?,?,?)",
-                (key, fingerprint) + self._profile_row(profile, series),
-            )
-            self._conn.commit()
-
-    def get_cached(self, key: str) -> WorkloadProfile | None:
-        """Fetch a cached profile by digest, or ``None`` when absent."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT workload, framework, vm_name, nodes, spilled, runtimes,"
-                " budgets, samples, series FROM profile_cache WHERE key=?",
-                (key,),
-            ).fetchone()
-        return self._row_to_profile(row) if row else None
-
-    def put_cached_scalar(self, key: str, fingerprint: str, value: float) -> None:
-        """Insert or replace a cached scalar (e.g. a P90 runtime)."""
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO scalar_cache VALUES (?,?,?)",
-                (key, fingerprint, float(value)),
-            )
-            self._conn.commit()
-
-    def get_cached_scalar(self, key: str) -> float | None:
-        """Fetch a cached scalar by digest, or ``None`` when absent."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT value FROM scalar_cache WHERE key=?", (key,)
-            ).fetchone()
-        return float(row[0]) if row else None
-
-    def prune_cache(self, keep_fingerprint: str) -> int:
-        """Delete cache entries from other fingerprint generations.
-
-        Returns the number of rows removed.
-        """
-        removed = 0
-        with self._lock:
-            for table in ("profile_cache", "scalar_cache"):
-                cur = self._conn.execute(
-                    f"DELETE FROM {table} WHERE fingerprint != ?",
-                    (keep_fingerprint,),
-                )
-                removed += cur.rowcount
-            self._conn.commit()
-        return removed
-
-    def cache_counts(self) -> tuple[int, int]:
-        """(cached profiles, cached scalars) currently stored."""
-        with self._lock:
-            profiles = self._conn.execute(
-                "SELECT COUNT(*) FROM profile_cache"
-            ).fetchone()[0]
-            scalars = self._conn.execute(
-                "SELECT COUNT(*) FROM scalar_cache"
-            ).fetchone()[0]
-        return int(profiles), int(scalars)
 
     # -- session journal ----------------------------------------------------------
     #

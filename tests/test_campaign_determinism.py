@@ -3,16 +3,18 @@
 The engine's core guarantee: because every (workload, VM, seed) triple
 derives its own noise stream, a campaign is **bit-identical** to the
 serial :class:`DataCollector` path for any worker count, any grid
-iteration order, and any cache state.  These tests assert that guarantee
+iteration order, and any memo state.  These tests assert that guarantee
 element-wise, that an offline :class:`VestaSelector` fit built on the
-campaign is invariant to the worker count, and that each wave picks
-inline or pool execution from its own size.
+campaign is invariant to the worker count, that each wave picks inline
+or pool execution from its own size, and which reads share one memoized
+cell.
 
 Small test grids run inline under the shipped size rule, so the
 pool-versus-serial pins force the pool through the ``force_pool``
 fixture and assert that it actually started.
 """
 
+import dataclasses
 import multiprocessing
 import os
 
@@ -101,17 +103,66 @@ class TestGridOrderInvariance:
             assert_profiles_identical(grid_fwd[key], grid_rev[key])
         assert started == [2, 3]
 
-    def test_warm_cache_does_not_change_results(self, tmp_path, force_pool):
-        path = str(tmp_path / "cache.sqlite")
+    def test_warm_cache_does_not_change_results(self, force_pool):
+        """A repeat read on one campaign is all memo hits: it computes no
+        cell, starts no pool and returns the same bytes."""
         started = force_pool(2)
-        cold = ProfilingCampaign(repetitions=REPS, seed=7, cache=path)
-        m_cold = cold.runtime_matrix(SPECS, VMS)
-        warm = ProfilingCampaign(repetitions=REPS, seed=7, cache=path)
-        m_warm = warm.runtime_matrix(SPECS, VMS)
+        campaign = ProfilingCampaign(repetitions=REPS, seed=7)
+        m_cold = campaign.runtime_matrix(SPECS, VMS)
+        computed = campaign.counters.computed
+        m_warm = campaign.runtime_matrix(SPECS, VMS)
         np.testing.assert_array_equal(m_cold, m_warm)
-        assert warm.counters.cache_hits == len(SPECS) * len(VMS)
-        assert warm.counters.computed == 0
-        assert started == [2]  # the warm campaign had nothing to fan out
+        assert campaign.counters.cache_hits == len(SPECS) * len(VMS)
+        assert campaign.counters.computed == computed == len(SPECS) * len(VMS)
+        assert started == [2]  # the warm read had nothing to fan out
+
+
+class TestCellMemo:
+    """The memo is keyed by the cell: ``(runtime_only, spec, vm, nodes)``."""
+
+    GRID = len(SPECS) * len(VMS)
+
+    def test_memo_hits_within_one_campaign(self):
+        campaign = ProfilingCampaign(repetitions=REPS, seed=0)
+        campaign.collect_grid(SPECS, VMS)
+        campaign.collect_grid(SPECS, VMS)
+        assert campaign.counters.scheduled == 2 * self.GRID
+        assert campaign.counters.computed == self.GRID
+        assert campaign.counters.cache_hits == self.GRID
+
+    def test_vm_by_name_and_by_type_are_one_cell(self):
+        campaign = ProfilingCampaign(repetitions=REPS, seed=0)
+        spec, vm = SPECS[0], VMS[0]
+        by_type = campaign.runtime_only(spec, vm)
+        assert campaign.runtime_only(spec, vm.name) == by_type
+        assert campaign.counters.computed == 1
+
+    def test_default_nodes_and_spec_nodes_are_one_cell(self):
+        campaign = ProfilingCampaign(repetitions=REPS, seed=0)
+        spec, vm = SPECS[0], VMS[0]
+        default = campaign.collect(spec, vm)
+        assert campaign.collect(spec, vm, nodes=spec.nodes) is default
+        assert campaign.counters.computed == 1
+        campaign.collect(spec, vm, nodes=spec.nodes + 1)
+        assert campaign.counters.computed == 2
+
+    def test_same_name_other_content_is_another_cell(self):
+        campaign = ProfilingCampaign(repetitions=REPS, seed=0)
+        spec, vm = SPECS[0], VMS[0]
+        faster = dataclasses.replace(vm, cpu_speed=vm.cpu_speed * 1.5)
+        assert faster.name == vm.name
+        base = campaign.runtime_only(spec, vm)
+        other = campaign.runtime_only(spec, faster)
+        assert campaign.counters.computed == 2
+        assert other != base
+
+    def test_p90_and_full_profile_are_two_cells(self):
+        campaign = ProfilingCampaign(repetitions=REPS, seed=0)
+        spec, vm = SPECS[0], VMS[0]
+        p90 = campaign.runtime_only(spec, vm)
+        profile = campaign.collect(spec, vm)
+        assert campaign.counters.computed == 2
+        assert p90 == profile.runtime_p90
 
 
 @pytest.mark.slow

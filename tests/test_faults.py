@@ -279,20 +279,14 @@ class TestEnabledDeterminism:
             clean.runtime_matrix(SPECS, VMS), faulted.runtime_matrix(SPECS, VMS)
         )
 
-    def test_fault_plans_use_distinct_cache_addresses(self, tmp_path):
-        path = str(tmp_path / "cache.sqlite")
-        clean = ProfilingCampaign(repetitions=REPS, seed=7, cache=path)
-        clean.runtime_matrix(SPECS, VMS)
-        faulted = ProfilingCampaign(
-            repetitions=REPS, seed=7, cache=path, faults=SURVIVABLE
-        )
-        faulted.runtime_matrix(SPECS, VMS)
-        # The faulted campaign must not have consumed the clean entries...
-        assert faulted.counters.cache_hits == 0
-        # ...and a second clean campaign still hits all of them.
-        warm = ProfilingCampaign(repetitions=REPS, seed=7, cache=path)
-        warm.runtime_matrix(SPECS, VMS)
-        assert warm.counters.cache_hits == len(SPECS) * len(VMS)
+    def test_fault_plans_use_distinct_config_fingerprints(self):
+        """Stage artifacts fitted under a plan never collide with clean
+        ones: the plan enters every stage address through the campaign's
+        config fingerprint, and a disabled plan leaves it unchanged."""
+        clean = ProfilingCampaign(repetitions=REPS, seed=7).config_fingerprint()
+        none = ProfilingCampaign(repetitions=REPS, seed=7, faults=FaultPlan.none())
+        assert none.config_fingerprint() == clean
+        assert self.faulted_campaign().config_fingerprint() != clean
 
     def test_straggle_inflates_runtimes(self):
         spec, vm = SPECS[0], VMS[0]

@@ -16,11 +16,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.cloud.catalog import get_catalog
+from repro.cloud.faults import FaultPlan
 from repro.cloud.vmtypes import catalog
-from repro.core.persistence import clone_knowledge
+from repro.core.persistence import clone_knowledge, load_selector, save_selector
 from repro.core.pipeline import PromotedSource
 from repro.core.vesta import VestaSelector
-from repro.errors import ValidationError
+from repro.errors import ProbeFailedError, ValidationError
 from repro.service import SelectionService, SelectorRegistry
 from repro.service.learning import (
     DEFAULT_JOURNAL_LIMIT,
@@ -215,6 +217,55 @@ class TestLearningLoop:
                     assert time.monotonic() < deadline, "no learn cycle ran"
                     time.sleep(0.01)
             assert loop.stats()["errors"] == 0
+
+
+class TestCloneRunsTheServedFaultPlan:
+    """The promoter's clone runs the served selector's fault plan, so it
+    fingerprints and answers — fault events included — as the served
+    selector does."""
+
+    @pytest.mark.parametrize(
+        "catalog_name, fit_plan, load_plan",
+        [
+            # An archive served under a transient plan.
+            ("ec2", None, FaultPlan(transient_prob=0.2, max_attempts=3, seed=5)),
+            # A spot selector fitted without a plan: the clone must not
+            # derive the catalog's interruption plan.
+            ("ec2-spot", FaultPlan.none(), None),
+        ],
+        ids=["transient-archive", "spot-without-plan"],
+    )
+    def test_clone_answers_like_the_served_selector(
+        self, tmp_path, catalog_name, fit_plan, load_plan
+    ):
+        served = VestaSelector(
+            vms=get_catalog(catalog_name).vms[:24],
+            sources=SOURCES,
+            repetitions=3,
+            seed=SEED,
+            faults=fit_plan,
+            catalog=catalog_name,
+        ).fit()
+        if load_plan is not None:
+            save_selector(served, tmp_path / "knowledge.npz")
+            served = load_selector(tmp_path / "knowledge.npz", faults=load_plan)
+        clone = clone_knowledge(served)
+        assert clone.knowledge_fingerprint() == served.knowledge_fingerprint()
+
+        def answers(selector) -> list:
+            """``select`` per target; a failed sandbox run answers its error."""
+            outcomes = []
+            for spec in target_set():
+                try:
+                    outcomes.append(selector.select(spec))
+                except ProbeFailedError as exc:
+                    outcomes.append(str(exc))
+            return outcomes
+
+        expected = answers(served)
+        assert answers(clone) == expected
+        faulted = [o for o in expected if isinstance(o, str) or o.fault_events]
+        assert bool(faulted) == (load_plan is not None)
 
 
 class TestHotReloadNeverMixesFingerprints:

@@ -234,32 +234,3 @@ class TestProfileRoundTripProperties:
         np.testing.assert_array_equal(back.runtimes, profile.runtimes)
         np.testing.assert_array_equal(back.budgets, profile.budgets)
         np.testing.assert_array_equal(back.timeseries, profile.timeseries)
-
-    @given(
-        runtimes=st.lists(finite, min_size=1, max_size=8),
-        nodes=st.integers(1, 16),
-    )
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_cached_roundtrip(self, runtimes, nodes):
-        """The content-addressed cache tables preserve profiles too."""
-        from repro.telemetry.collector import WorkloadProfile
-        from repro.telemetry.metrics import NUM_METRICS
-        from repro.telemetry.store import MetricsStore
-
-        profile = WorkloadProfile(
-            workload="prop-wl",
-            framework="spark",
-            vm_name="m5.xlarge",
-            nodes=nodes,
-            runtimes=np.array(runtimes),
-            budgets=np.array(runtimes),
-            timeseries=np.zeros((2, NUM_METRICS)),
-            spilled=False,
-        )
-        with MetricsStore() as store:
-            store.put_cached("some-key", "fp", profile)
-            back = store.get_cached("some-key")
-            assert back is not None
-            np.testing.assert_array_equal(back.runtimes, profile.runtimes)
-            assert back.nodes == nodes
-            assert store.get_cached("other-key") is None

@@ -2,8 +2,8 @@
 
 Three layers, each pinned bit-identical to the code path it replaces:
 
-- grouped, mask-keyed ``fold_in`` with a per-selector operator cache,
-  pinned against the per-row solve loop ``CMF._fold_in_row_loop``;
+- grouped, mask-keyed ``fold_in``, pinned against the per-row solve
+  loop ``CMF._fold_in_row_loop``;
 - the scheduler's recommendation memo cache keyed by
   ``(knowledge fingerprint, workload, objective)``
   (``rec_cache_size=0`` disables);
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.cloud.catalog import ProviderCatalog, get_catalog
 from repro.cloud.vmtypes import catalog
-from repro.core.caching import LRUCache
 from repro.core.cmf import CMF
 from repro.core.persistence import load_selector, save_selector
 from repro.core.vesta import VestaSelector
@@ -84,7 +83,7 @@ class TestGroupedFoldIn:
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_byte_identical_to_row_loop(self, seed, n_rows, n_patterns, j, g):
-        """Grouped solves — cold cache, warm cache — vs the row loop."""
+        """Grouped solves vs the row loop."""
         rng = np.random.default_rng(seed)
         cmf = CMF(latent_dim=g)
         L = rng.normal(size=(j, g))
@@ -94,22 +93,12 @@ class TestGroupedFoldIn:
 
         loop = cmf._fold_in_row_loop(L, rows, mask)
         grouped = cmf.fold_in(L, rows, mask)
-        cache = LRUCache(maxsize=16)
-        cold = cmf.fold_in(L, rows, mask, operator_cache=cache)
-        warm = cmf.fold_in(L, rows, mask, operator_cache=cache)
-
         assert grouped.tobytes() == loop.tobytes()
-        assert cold.tobytes() == loop.tobytes()
-        assert warm.tobytes() == loop.tobytes()
-        stats = cache.stats()
-        # Second pass resolves every distinct mask from the cache.
-        assert stats["size"] == len({m.tobytes() for m in mask})
-        assert stats["hits"] >= stats["size"]
 
     def test_singular_gram_falls_back_to_lstsq(self):
         """Empty mask + reg=0: the gram is all zeros, ``solve`` raises,
-        and both paths (and the cached-operator replay) must take the
-        exact ``lstsq`` fallback the row loop takes."""
+        and the grouped path must take the exact ``lstsq`` fallback the
+        row loop takes."""
         g, j = 4, 8
         rng = np.random.default_rng(11)
         cmf = CMF(latent_dim=g, reg=0.0)
@@ -120,12 +109,8 @@ class TestGroupedFoldIn:
         )
 
         loop = cmf._fold_in_row_loop(L, rows, mask)
-        cache = LRUCache(maxsize=8)
-        grouped = cmf.fold_in(L, rows, mask, operator_cache=cache)
-        replay = cmf.fold_in(L, rows, mask, operator_cache=cache)
-
+        grouped = cmf.fold_in(L, rows, mask)
         assert grouped.tobytes() == loop.tobytes()
-        assert replay.tobytes() == loop.tobytes()
         # The fallback rows really are the lstsq solution of the exact
         # singular system the math prescribes.
         gram = np.zeros((g, g))
@@ -153,25 +138,28 @@ class TestGroupedFoldIn:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(gram, np.zeros(g))  # really singular
 
-    def test_operator_cache_scoped_to_factors(self, foldin_selector):
-        """Repeat waves hit the mask-keyed cache; a refit that changes
-        the ``source_factors`` artifact starts from an empty cache."""
+    def test_selector_waves_match_the_row_loop(self, foldin_selector):
+        """A selector's fold-in wave equals the row loop on its own L —
+        on a repeat wave, and after a refit that changes the
+        ``source_factors`` artifact."""
         specs = [get_workload(name) for name in TARGETS[:3]]
-        first = foldin_selector.select_many(specs)
-        warm_stats = foldin_selector.foldin_cache_stats()
-        assert warm_stats is not None and warm_stats["size"] >= 1
-        second = foldin_selector.select_many(specs)
-        stats = foldin_selector.foldin_cache_stats()
-        assert stats["hits"] > warm_stats["hits"]
-        assert [r.vm_name for r in second] == [r.vm_name for r in first]
-        assert [r.predictions for r in second] == [r.predictions for r in first]
 
+        def wave():
+            sessions = foldin_selector.online_many(specs)
+            rows = np.vstack([s._sparse_row for s in sessions])
+            masks = np.vstack([s._mask for s in sessions])
+            loop = foldin_selector._cmf()._fold_in_row_loop(
+                foldin_selector.source_factors.L, rows, masks
+            )
+            for session, expected in zip(sessions, loop):
+                assert session.cmf_result.Astar[0].tobytes() == expected.tobytes()
+            return [session.recommend() for session in sessions]
+
+        first = wave()
+        assert wave() == first
         try:
             foldin_selector.refit(lam=0.8)
-            foldin_selector.select_many(specs[:1])
-            fresh = foldin_selector.foldin_cache_stats()
-            # New factors object => new cache: no carried-over hits.
-            assert fresh["hits"] < stats["hits"]
+            wave()
         finally:
             foldin_selector.refit(lam=0.75)
 
@@ -428,10 +416,6 @@ class TestClientTransport:
         assert scrambled["recommendation"] == first["recommendation"]
         stats = client.statsz()["schedulers"]["default"]
         assert stats["rec_cache"]["hits"] >= 2
-        described = client.healthz()["selectors"]["default"]
-        assert described["foldin_cache"] is None or (
-            described["foldin_cache"]["size"] >= 0
-        )
 
 
 class TestServiceFrontendEdges:

@@ -11,6 +11,7 @@ Before the hardening, any call from a non-constructor thread raised
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -91,7 +92,7 @@ class TestMetricsStoreConcurrency:
         store.close()
 
     def test_concurrent_readers_and_writer(self, tmp_path):
-        store = MetricsStore(str(tmp_path / "m.db"), wal=True)
+        store = MetricsStore(str(tmp_path / "m.db"))
         for i in range(4):
             store.put(_profile("wl-seed", f"vm-{i}", seed=i))
 
@@ -126,23 +127,22 @@ class TestMetricsStoreConcurrency:
         assert len(store) == 4 * 10
         store.close()
 
-    def test_concurrent_cache_access(self, tmp_path):
-        store = MetricsStore(str(tmp_path / "m.db"))
-
-        def cacher(idx):
-            for j in range(15):
-                key = f"k-{idx}-{j}"
-                store.put_cached(key, "fp-1", _profile("wl-c", f"vm-{j}"))
-                store.put_cached_scalar(f"s-{key}", "fp-1", float(j))
-                assert store.get_cached(key) is not None
-                assert store.get_cached_scalar(f"s-{key}") == float(j)
-                store.cache_counts()
-
-        _run_threads([cacher], count=6)
-        profiles, scalars = store.cache_counts()
-        assert profiles == 6 * 15 and scalars == 6 * 15
-        assert store.prune_cache("fp-1") == 0
+    def test_wal_mode_enabled_for_file_backed_store(self, tmp_path):
+        """A file-backed store opens in WAL mode with the busy timeout,
+        as ArtifactStore does; an in-memory one keeps sqlite's default."""
+        path = str(tmp_path / "m.db")
+        store = MetricsStore(path)
+        conn = store._conn
+        assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+        assert conn.execute("PRAGMA busy_timeout").fetchone() == (30000,)
+        store.put(_profile("wl-wal", "vm-0"))
         store.close()
+        # ...and the file survives reopening by plain sqlite.
+        plain = sqlite3.connect(path)
+        assert plain.execute("SELECT COUNT(*) FROM profiles").fetchone() == (1,)
+        plain.close()
+        with MetricsStore() as memory:
+            assert memory._conn.execute("PRAGMA journal_mode").fetchone() == ("memory",)
 
 
 class TestSessionLogRetention:
@@ -197,7 +197,7 @@ class TestSessionLogRetention:
         store.close()
 
     def test_concurrent_journal_writers_stay_bounded(self, tmp_path):
-        store = MetricsStore(str(tmp_path / "m.db"), wal=True)
+        store = MetricsStore(str(tmp_path / "m.db"))
         limit = 16
 
         def journaller(idx):

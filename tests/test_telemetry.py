@@ -185,3 +185,17 @@ class TestMetricsStore:
         with MetricsStore() as store:
             with pytest.raises(ValidationError):
                 store.put(broken)
+
+
+class TestStoreNodesThreading:
+    def test_get_requires_explicit_nodes(self):
+        """The old nodes=4 default silently mismatched cluster sizes."""
+        spec = get_workload("spark-lr").with_nodes(6)
+        vm = get_vm_type("m5.xlarge")
+        profile = DataCollector(repetitions=2, seed=0).collect(spec, vm)
+        with MetricsStore() as store:
+            store.put(profile)
+            assert store.get(spec.name, vm.name, nodes=6) is not None
+            assert store.get(spec.name, vm.name, nodes=4) is None
+            with pytest.raises(TypeError):
+                store.get(spec.name, vm.name)  # nodes is required
